@@ -40,7 +40,6 @@ from .spectrum import (
     Spectrum,
     alpha,
     beta,
-    homs_to_I,
     primes_bruteforce,
     spec_monoid,
     spec_presentation,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 input error (parse failure, cap exceeded, bad flags),
-2 integrity failure (independent routes disagree: a bug, never bad input).
+Exit codes: 0 success, 1 input error (parse failure, cap exceeded, bad flags,
+unknown `--via` route), 2 integrity failure (independent routes disagree: a
+bug, never bad input).
 """
 
 from __future__ import annotations
@@ -12,13 +13,19 @@ from pathlib import Path
 
 from . import dot as dot_mod
 from .congruence import sl_reflection
-from .core import SUBSET_CAP, format_monoid_table, parse_monoid_table, render_set
-from .errors import InputError, IntegrityError
+from .core import (
+    SUBSET_CAP,
+    format_monoid_table,
+    monoid_homs,
+    parse_monoid_table,
+    render_set,
+    sierpinski,
+)
+from .errors import CapExceeded, InputError, IntegrityError
 from .presentation import parse_presentation, sl_of_presentation
 from .semilattice import monotone_map, left_adjoint, right_adjoint
 from .spectrum import (
     canonical_key,
-    homs_to_I,
     primes_bruteforce,
     spec_monoid,
     spec_presentation,
@@ -27,6 +34,9 @@ from .spectrum import (
 )
 from .topology import format_opens, ideal_opens
 from .verify import mutation_detected, run_all
+
+#: The spectrum routes `spec --via` accepts, in output order.
+ROUTES = ("brute", "hom", "alpha")
 
 
 def _load(path: str, kind: str | None):
@@ -53,41 +63,38 @@ def _reflection(kind, obj, cap):
 
 
 def cmd_spec(args) -> int:
-    kind, obj = _load(args.input, args.kind)
-    vias = args.via.split(",") if args.via else ["alpha"]
+    vias = args.via.split(",")
+    unknown = [v for v in vias if v not in ROUTES + ("all",)]
+    if unknown:
+        raise InputError(f"unknown route {unknown[0]!r} in --via {args.via!r}")
     if "all" in vias:
-        vias = ["brute", "hom", "alpha"]
+        vias = ROUTES
+    kind, obj = _load(args.input, args.kind)
     results = {}
+    labels = {}
     if kind == "pres":
-        P = obj
-        L, _, S, supports = spec_presentation(P, cap=args.cap)
-        labels = {p: render_support(P, s) for p, s in zip(S.points, supports)}
+        L, _, S, supports = spec_presentation(obj, cap=args.cap)
+        M = L.monoid
+        labels = {p: render_support(obj, s) for p, s in zip(S.points, supports)}
         if "alpha" in vias:
             results["alpha"] = list(S.points)
-        if "brute" in vias:
-            results["brute"] = list(primes_bruteforce(L.monoid, cap=args.cap).points)
-        if "hom" in vias:
-            results["hom"] = sorted((theta(f) for f in homs_to_I(L.monoid, cap=args.cap)),
-                                    key=canonical_key)
-        render = lambda p: labels.get(p, render_set(L.monoid, p))
     else:
         M = obj
         if "alpha" in vias:
             results["alpha"] = list(spec_monoid(M, cap=args.cap).points)
-        if "brute" in vias:
-            results["brute"] = list(primes_bruteforce(M, cap=args.cap).points)
-        if "hom" in vias:
-            results["hom"] = sorted((theta(f) for f in homs_to_I(M, cap=args.cap)),
-                                    key=canonical_key)
-        render = lambda p: render_set(M, p)
-    if not results:
-        raise InputError(f"no valid route in --via {args.via!r}")
-    for via in ("brute", "hom", "alpha"):
+    if "brute" in vias:
+        results["brute"] = list(primes_bruteforce(M, cap=args.cap).points)
+    if "hom" in vias:
+        if M.size > args.cap:
+            raise CapExceeded(f"size {M.size} exceeds the cap of {args.cap}")
+        results["hom"] = sorted((theta(f) for f in monoid_homs(M, sierpinski())),
+                                key=canonical_key)
+    for via in ROUTES:
         if via in results:
             pts = results[via]
             print(f"spec via {via}: {len(pts)} primes")
             for p in pts:
-                print("  " + render(p))
+                print("  " + labels.get(p, render_set(M, p)))
     values = list(results.values())
     if len(values) > 1:
         agree = all(v == values[0] for v in values[1:])
@@ -170,9 +177,16 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad flags as input errors (exit 1) instead of argparse's exit 2."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="monospec",
-                                     description="Exact spectra of commutative monoids")
+    parser = _Parser(prog="monospec",
+                     description="Exact spectra of commutative monoids")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_input=True):
@@ -194,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dot", help="Hasse diagram as DOT")
     add_common(p)
     p.add_argument("--spec", action="store_true", help="diagram of the spectrum instead")
-    p.add_argument("--hasse", action="store_true", help="diagram of the order (default)")
     p.set_defaults(func=cmd_dot)
 
     p = sub.add_parser("topology", help="ideal opens of the reflection")
@@ -207,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", nargs="+", required=True,
                    help="target element names, one per source element in order")
     p.add_argument("--left", action="store_true", help="left adjoint instead of right")
-    p.add_argument("--cap", type=int, default=SUBSET_CAP)
     p.set_defaults(func=cmd_adjoint)
 
     p = sub.add_parser("verify", help="run the property suites over a seeded corpus")
@@ -220,9 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

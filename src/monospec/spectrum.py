@@ -2,8 +2,9 @@
 
 A prime ideal is a proper subset that absorbs multiplication and whose
 complement is a submonoid.  The three routes are: direct subset enumeration,
-homomorphisms into the two-element monoid (kernels of the absorbing fiber),
-and the downset-complement bijection on the idempotent reflection.
+homomorphisms into the two-element monoid (`monoid_homs(M, sierpinski())`,
+read off by `theta` as kernels of the absorbing fiber), and the
+downset-complement bijection on the idempotent reflection.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .core import (
     MonoidMap,
     is_hom,
     is_submonoid,
+    monoid_homs,
     render_set,
     sierpinski,
     submonoid_as_monoid,
@@ -28,7 +30,6 @@ from .presentation import Presentation, sl_of_presentation
 from .semilattice import (
     JoinSemilattice,
     MonotoneMap,
-    downset,
     from_monoid,
     is_join_morphism,
     right_adjoint,
@@ -50,22 +51,6 @@ class Spectrum:
     owner: FiniteMonoid
     points: tuple[frozenset[int], ...]
     union_table: tuple[tuple[int, ...], ...]
-
-
-def is_prime(M: FiniteMonoid, members) -> bool:
-    members = frozenset(members)
-    if 0 in members:
-        return False
-    comp = [x for x in M.elements() if x not in members]
-    for a in members:
-        row = M.table[a]
-        if any(row[x] not in members for x in M.elements()):
-            return False
-    for i, a in enumerate(comp):
-        for b in comp[i:]:
-            if M.table[a][b] in members:
-                return False
-    return True
 
 
 def build_spectrum(M: FiniteMonoid, points) -> Spectrum:
@@ -117,45 +102,6 @@ def primes_bruteforce(M: FiniteMonoid, cap: int = SUBSET_CAP) -> Spectrum:
         if ok:
             points.append(frozenset(x for x in range(n) if (mask >> x) & 1))
     return build_spectrum(M, points)
-
-
-def homs_to_I(M: FiniteMonoid, cap: int = SUBSET_CAP) -> list[MonoidMap]:
-    """All homomorphisms into the two-element monoid, by backtracking.
-
-    Image values are indices into `sierpinski()`: 0 the unit, 1 absorbing;
-    the product of images is bitwise or.
-    """
-    n = M.size
-    if n > cap:
-        raise CapExceeded(f"size {n} exceeds the cap of {cap}")
-    I = sierpinski()
-    images = [0] * n
-    out = []
-
-    def consistent(e: int) -> bool:
-        for a in range(e + 1):
-            p = M.table[a][e]
-            if p <= e and images[p] != (images[a] | images[e]):
-                return False
-        for a in range(e):
-            for b in range(a, e):
-                if M.table[a][b] == e and images[e] != (images[a] | images[b]):
-                    return False
-        return True
-
-    def assign(e: int):
-        if e == n:
-            out.append(MonoidMap(M, I, tuple(images)))
-            return
-        for v in (0, 1):
-            images[e] = v
-            if consistent(e):
-                assign(e + 1)
-        images[e] = 0
-
-    assign(1)
-    out.sort(key=lambda h: h.images)
-    return out
 
 
 def theta(f: MonoidMap) -> frozenset[int]:
@@ -219,10 +165,6 @@ def render_support(P: Presentation, gens) -> str:
     return "(" + ", ".join(P.generators[i] for i in sorted(gens)) + ")"
 
 
-def spec_union(S: Spectrum, p: int, q: int) -> int:
-    return S.union_table[p][q]
-
-
 def spectrum_monoid(S: Spectrum) -> FiniteMonoid:
     """The union monoid of a spectrum, points named by canonical member lists."""
     names = tuple(render_set(S.owner, p) for p in S.points)
@@ -271,9 +213,11 @@ def _hom_monoid(homs: list[MonoidMap]) -> tuple[FiniteMonoid, dict[tuple[int, ..
 
 def ev_check(M: FiniteMonoid, cap: int = SUBSET_CAP) -> bool:
     """Double-dual check for idempotent monoids: ev is a monoid isomorphism."""
-    homs1 = homs_to_I(M, cap=cap)
+    if M.size > cap:
+        raise CapExceeded(f"size {M.size} exceeds the cap of {cap}")
+    homs1 = monoid_homs(M, sierpinski())
     H1, _ = _hom_monoid(homs1)
-    homs2 = homs_to_I(H1, cap=cap)
+    homs2 = monoid_homs(H1, sierpinski())
     H2, index2 = _hom_monoid(homs2)
     ev_images = []
     for m in M.elements():

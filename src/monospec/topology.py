@@ -8,13 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SUBSET_CAP, FiniteMonoid
+from .core import SUBSET_CAP, FiniteMonoid, monoid_homs, sierpinski
 from .errors import CapExceeded, ValidationError
 from .semilattice import JoinSemilattice
 from .spectrum import (
     Spectrum,
     canonical_key,
-    homs_to_I,
     primes_bruteforce,
     theta,
 )
@@ -33,30 +32,25 @@ def _canonical(opens) -> tuple[frozenset[int], ...]:
 
 
 def topology(size: int, opens) -> FiniteTopology:
-    """Saturate a family into a topology: add empty and full, close under
-    pairwise union and intersection (enough for finite spaces)."""
+    """The topology a family of opens generates on points 0..size-1.
+
+    On a finite space every open is a union of finite intersections of the
+    family, so the family is closed under intersection once, with the full
+    set as the empty intersection, and then under union, with the empty set
+    as the empty union.
+    """
     family = set(frozenset(o) for o in opens)
-    family.add(frozenset())
-    family.add(frozenset(range(size)))
     for o in family:
         for x in o:
             if not 0 <= x < size:
                 raise ValidationError(f"open set mentions point {x} outside 0..{size - 1}")
-    changed = True
-    while changed:
-        changed = False
-        current = list(family)
-        for i, a in enumerate(current):
-            for b in current[i + 1:]:
-                for c in (a | b, a & b):
-                    if c not in family:
-                        family.add(c)
-                        changed = True
-    return FiniteTopology(size, _canonical(family))
-
-
-def is_open(T: FiniteTopology, s) -> bool:
-    return frozenset(s) in set(T.opens)
+    meets = {frozenset(range(size))}
+    for o in family:
+        meets |= {o & m for m in meets}
+    unions = {frozenset()}
+    for m in meets:
+        unions |= {m | u for u in unions}
+    return FiniteTopology(size, _canonical(unions))
 
 
 def basis_D(M: FiniteMonoid, S: Spectrum) -> list[frozenset[int]]:
@@ -69,12 +63,8 @@ def basis_D(M: FiniteMonoid, S: Spectrum) -> list[frozenset[int]]:
     return seen
 
 
-def topology_from_basis(size: int, basis) -> FiniteTopology:
-    return topology(size, basis)
-
-
 def spec_topology(M: FiniteMonoid, S: Spectrum) -> FiniteTopology:
-    return topology_from_basis(len(S.points), basis_D(M, S))
+    return topology(len(S.points), basis_D(M, S))
 
 
 def ideal_opens(L: JoinSemilattice, cap: int = SUBSET_CAP) -> FiniteTopology:
@@ -96,7 +86,7 @@ def product_topology_on_homs(M: FiniteMonoid, homs=None) -> FiniteTopology:
     Subbasic opens fix one source element to the unit value.
     """
     if homs is None:
-        homs = homs_to_I(M)
+        homs = monoid_homs(M, sierpinski())
     subbasis = [
         frozenset(j for j, h in enumerate(homs) if h.images[m] == 0) for m in M.elements()
     ]
@@ -143,7 +133,7 @@ def union_continuous(S: Spectrum, T: FiniteTopology) -> bool:
 def theta_homeo_check(M: FiniteMonoid, cap: int = SUBSET_CAP) -> bool:
     """The hom/prime correspondence is a homeomorphism for the two topologies."""
     S = primes_bruteforce(M, cap=cap)
-    homs = homs_to_I(M, cap=cap)
+    homs = monoid_homs(M, sierpinski())
     if len(homs) != len(S.points):
         return False
     point_index = {p: i for i, p in enumerate(S.points)}

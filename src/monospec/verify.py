@@ -1,12 +1,14 @@
-"""Executable property suites over the seeded corpus.
+"""Executable property suites and the seeded corpora the CLI runs them on.
 
-Each check returns (name, failures, total); `run_all` drives every suite and
-is shared between the CLI `verify` command and the acceptance tests.
+Each `check_*` takes the items it checks and returns (name, failures, total);
+the properties live only here.  `run_all` builds the corpora of the CLI
+`verify` command from a seed and runs every suite over them.  The acceptance
+tests build their own corpora and call the same `check_*` functions.
 """
 
 from __future__ import annotations
 
-from .congruence import congruence_closure, grillet_relation, quotient, sl_reflection
+from .congruence import congruence_closure, grillet_relation, sl_reflection
 from .core import (
     FiniteMonoid,
     MonoidMap,
@@ -15,6 +17,7 @@ from .core import (
     monoid_homs,
     submonoid_closure,
     units,
+    validate_monoid,
 )
 from .corpus import (
     corpus_join_morphisms,
@@ -24,10 +27,9 @@ from .corpus import (
     corpus_semilattices,
     corpus_submonoid_chains,
 )
-from .errors import HypothesisError
+from .errors import HypothesisError, ValidationError
 from .limits import profinite_check, zg_check
 from .semilattice import (
-    MonotoneMap,
     check_adjunction,
     compose_monotone,
     is_join_morphism,
@@ -42,7 +44,8 @@ from .spectrum import (
     beta,
     canonical_key,
     ev_check,
-    homs_to_I,
+    naturality_square,
+    power_submonoid_check,
     primes_bruteforce,
     sierpinski,
     spec_cubed_check,
@@ -54,33 +57,25 @@ from .spectrum import (
 )
 from .topology import (
     alpha_opens_check,
-    basis_D,
     spec_topology,
     theta_homeo_check,
     union_continuous,
 )
 
 
-def three_route_points(M: FiniteMonoid):
-    """The three independent computations of the prime set, canonically sorted."""
-    r1 = list(primes_bruteforce(M).points)
-    r2 = sorted((theta(f) for f in homs_to_I(M)), key=canonical_key)
-    r3 = list(spec_monoid(M).points)
-    return r1, r2, r3
-
-
 def routes_agree(M: FiniteMonoid) -> bool:
-    r1, r2, r3 = three_route_points(M)
+    """The three independent computations of the prime set, canonically sorted, agree."""
+    r1 = list(primes_bruteforce(M).points)
+    r2 = sorted((theta(f) for f in monoid_homs(M, sierpinski())), key=canonical_key)
+    r3 = list(spec_monoid(M).points)
     return r1 == r2 == r3
 
 
-def check_three_routes(seed: int, table_count=150, pres_count=60):
+def check_three_routes(monoids, presentations):
     fails = 0
-    monoids = corpus_monoids(seed, count=table_count, max_size=10)
     for M in monoids:
         if not routes_agree(M):
             fails += 1
-    presentations = corpus_presentations(seed, count=pres_count, max_gens=6)
     for P in presentations:
         L, _, S, supports = spec_presentation(P)
         if not routes_agree(L.monoid):
@@ -91,13 +86,12 @@ def check_three_routes(seed: int, table_count=150, pres_count=60):
     return "three-route agreement", fails, len(monoids) + len(presentations)
 
 
-def check_theta(seed: int):
+def check_theta(monoids):
     """Hom/prime correspondence: monoid isomorphism plus homeomorphism."""
     fails = 0
-    monoids = [M for M in corpus_monoids(seed, count=120, max_size=10) if M.size <= 8]
     for M in monoids:
         ok = theta_homeo_check(M)
-        homs = homs_to_I(M)
+        homs = monoid_homs(M, sierpinski())
         spec = primes_bruteforce(M)
         index = {p: i for i, p in enumerate(spec.points)}
         # pointwise: product of homs maps to union of their zero fibers
@@ -127,9 +121,8 @@ def check_theta(seed: int):
     return "hom/prime correspondence incl. topology", fails, len(monoids)
 
 
-def check_alpha_suite(seed: int):
+def check_alpha_suite(lattices):
     fails = 0
-    lattices = corpus_semilattices(seed, count=40, max_size=10)
     for L in lattices:
         ok = True
         spec = primes_bruteforce(L.monoid)
@@ -154,16 +147,12 @@ def check_alpha_suite(seed: int):
     return "downset-complement bijection and topology transport", fails, len(lattices)
 
 
-def check_naturality(seed: int, count=120):
-    maps = [f for f in corpus_join_morphisms(seed, count=count) if is_join_morphism(f)]
-    from .spectrum import naturality_square
-
+def check_naturality(maps):
     fails = sum(0 if naturality_square(f) else 1 for f in maps)
     return "naturality of the spectrum bijection", fails, len(maps)
 
 
-def check_grillet(seed: int):
-    monoids = [M for M in corpus_monoids(seed, count=150, max_size=10) if M.size <= 7]
+def check_grillet(monoids):
     fails = 0
     for M in monoids:
         a = grillet_relation(M)
@@ -173,10 +162,7 @@ def check_grillet(seed: int):
     return "power-divisibility congruence vs idempotent closure", fails, len(monoids)
 
 
-def check_power_submonoid(seed: int, count=60):
-    from .spectrum import power_submonoid_check
-
-    pairs = corpus_power_pairs(seed, count=count)
+def check_power_submonoid(pairs):
     fails = 0
     for A, B in pairs:
         try:
@@ -187,8 +173,7 @@ def check_power_submonoid(seed: int, count=60):
     return "power-submonoid spectrum bijection", fails, len(pairs)
 
 
-def check_duals(seed: int):
-    lattices = [L for L in corpus_semilattices(seed, count=40, max_size=10) if L.size <= 8]
+def check_duals(lattices):
     fails = 0
     for L in lattices:
         ok = ev_check(L.monoid) and spec_spec_check(L) and spec_cubed_check(L.monoid)
@@ -197,16 +182,14 @@ def check_duals(seed: int):
     return "dualizing object and double spectrum", fails, len(lattices)
 
 
-def check_limits(seed: int, chain_count=60):
-    chains = corpus_submonoid_chains(seed, count=chain_count)
+def check_limits(chains, lattices):
     fails = sum(0 if zg_check(M, stages) else 1 for M, stages in chains)
-    lattices = [L for L in corpus_semilattices(seed, count=40, max_size=8) if L.size <= 8]
     fails += sum(0 if profinite_check(L) else 1 for L in lattices)
     return "colimit and profinite limits", fails, len(chains) + len(lattices)
 
 
-def check_adjoints(seed: int, count=120):
-    maps = [f for f in corpus_join_morphisms(seed, count=count) if is_join_morphism(f)]
+def check_adjoints(maps):
+    """Total counts the maps plus the composable pairs checked (at most 200)."""
     fails = 0
     for f in maps:
         ok = True
@@ -238,9 +221,8 @@ def check_adjoints(seed: int, count=120):
     return "adjoint existence, round trip, duality", fails, len(maps) + pairs
 
 
-def check_module_invariants(seed: int):
+def check_module_invariants(monoids):
     """Smaller cross-module invariants: units, hom composition, reflection."""
-    monoids = corpus_monoids(seed, count=60, max_size=8)
     fails = 0
     for M in monoids:
         ok = submonoid_closure(M, units(M)) == units(M)
@@ -266,50 +248,41 @@ def chain3_monoid() -> FiniteMonoid:
 
 
 def run_all(seed: int = 0, quick: bool = False):
-    """Run every suite; returns a list of (name, failures, total)."""
+    """Run every suite on the seeded corpora; returns a list of (name, failures, total)."""
     scale = 1 if not quick else 4
+    lattices = corpus_semilattices(seed, count=40, max_size=10)
+    join_maps = [f for f in corpus_join_morphisms(seed, count=120 // scale) if is_join_morphism(f)]
     results = [
-        check_three_routes(seed, table_count=150 // scale, pres_count=60 // scale),
-        check_theta(seed),
-        check_alpha_suite(seed),
-        check_naturality(seed, count=120 // scale),
-        check_grillet(seed),
-        check_power_submonoid(seed, count=60 // scale),
-        check_duals(seed),
-        check_limits(seed, chain_count=60 // scale),
-        check_adjoints(seed, count=120 // scale),
-        check_module_invariants(seed),
+        check_three_routes(corpus_monoids(seed, count=150 // scale, max_size=10),
+                           corpus_presentations(seed, count=60 // scale, max_gens=6)),
+        check_theta([M for M in corpus_monoids(seed, count=120, max_size=10) if M.size <= 8]),
+        check_alpha_suite(lattices),
+        check_naturality(join_maps),
+        check_grillet([M for M in corpus_monoids(seed, count=150, max_size=10) if M.size <= 7]),
+        check_power_submonoid(corpus_power_pairs(seed, count=60 // scale)),
+        check_duals([L for L in lattices if L.size <= 8]),
+        check_limits(corpus_submonoid_chains(seed, count=60 // scale),
+                     [L for L in corpus_semilattices(seed, count=40, max_size=8) if L.size <= 8]),
+        check_adjoints(join_maps),
+        check_module_invariants(corpus_monoids(seed, count=60, max_size=8)),
     ]
     return results
 
 
 def mutation_detected(seed: int = 0) -> bool:
-    """Flip one table entry of a corpus monoid; some check must now fail.
+    """Flip the entry (1, n-1) of a corpus table; `validate_monoid` must reject it.
 
-    The corpus law-check property (every table satisfies the monoid laws) and
-    the route-agreement property are both given a chance to notice.
+    Corpus tables are commutative and have n >= 3 here, so the flip always
+    breaks commutativity: this checks the table validation only, not the
+    spectrum routes.
     """
-    from .core import validate_monoid
-    from .errors import ValidationError
-
     candidates = [M for M in corpus_monoids(seed, count=30, max_size=8) if M.size >= 3]
     M = candidates[seed % len(candidates)]
     table = [list(row) for row in M.table]
     i, j = 1, M.size - 1
     table[i][j] = (table[i][j] + 1) % M.size
-    broken = FiniteMonoid(tuple(tuple(r) for r in table), M.names)
     try:
         validate_monoid(table, identity=0, names=M.names)
     except ValidationError:
         return True
-    try:
-        if not routes_agree(broken):
-            return True
-        a = grillet_relation(broken)
-        b = congruence_closure(broken, [(x, broken.table[x][x]) for x in broken.elements()])
-        if a.classes != b.classes:
-            return True
-        L, q = sl_reflection(broken)
-        return not is_idempotent(L.monoid)
-    except Exception:
-        return True
+    return False

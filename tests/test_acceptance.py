@@ -1,14 +1,13 @@
 """Acceptance criteria, one test per criterion, each printing a verdict line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  All checks are exact; the corpora are seeded and deterministic.
+lines.  All checks are exact; the corpora are seeded and deterministic.  The
+properties are the `check_*` suites of `monospec.verify`; each test builds its
+own corpus and asserts the suite finds no failure.
 """
 
 import time
 
-import pytest
-
-from monospec.congruence import congruence_closure, grillet_relation
 from monospec.core import sierpinski
 from monospec.corpus import (
     corpus_join_morphisms,
@@ -18,35 +17,25 @@ from monospec.corpus import (
     corpus_semilattices,
     corpus_submonoid_chains,
 )
-from monospec.errors import HypothesisError
-from monospec.limits import profinite_check, zg_check
 from monospec.presentation import parse_presentation
-from monospec.semilattice import (
-    check_adjunction,
-    compose_monotone,
-    is_join_morphism,
-    is_meet_morphism,
-    left_adjoint,
-    meet,
-    right_adjoint,
-    top,
-)
+from monospec.semilattice import is_join_morphism
 from monospec.spectrum import (
-    alpha,
-    beta,
-    canonical_key,
-    ev_check,
-    naturality_square,
-    power_submonoid_check,
     primes_bruteforce,
     render_support,
-    spec_cubed_check,
     spec_presentation,
-    spec_spec_check,
     spectrum_monoid,
 )
-from monospec.topology import alpha_opens_check, theta_homeo_check
-from monospec.verify import routes_agree, three_route_points
+from monospec.verify import (
+    check_adjoints,
+    check_alpha_suite,
+    check_duals,
+    check_grillet,
+    check_limits,
+    check_naturality,
+    check_power_submonoid,
+    check_theta,
+    check_three_routes,
+)
 
 SEED = 0
 
@@ -81,13 +70,8 @@ def test_criterion_3_three_route_agreement():
     start = time.monotonic()
     monoids = corpus_monoids(SEED, count=150, max_size=10)
     presentations = corpus_presentations(SEED, count=60, max_gens=6)
-    total = len(monoids) + len(presentations)
+    _, fails, total = check_three_routes(monoids, presentations)
     assert total >= 200
-    fails = sum(0 if routes_agree(M) else 1 for M in monoids)
-    for P in presentations:
-        L, _, S, supports = spec_presentation(P)
-        if not routes_agree(L.monoid) or len(set(supports)) != len(S.points):
-            fails += 1
     elapsed = time.monotonic() - start
     report(3, fails == 0 and elapsed < 60.0,
            f"three routes agree on {total} monoids in {elapsed:.1f}s")
@@ -96,101 +80,59 @@ def test_criterion_3_three_route_agreement():
 def test_criterion_4_theta_iso_and_homeo():
     start = time.monotonic()
     monoids = [M for M in corpus_monoids(SEED, count=150, max_size=10) if M.size <= 8]
-    fails = sum(0 if theta_homeo_check(M) else 1 for M in monoids)
+    _, fails, total = check_theta(monoids)
     elapsed = time.monotonic() - start
     report(4, fails == 0 and elapsed < 60.0,
-           f"hom/prime homeomorphism on {len(monoids)} monoids in {elapsed:.1f}s")
+           f"hom/prime homeomorphism on {total} monoids in {elapsed:.1f}s")
 
 
 def test_criterion_5_alpha_beta_suite():
     lattices = corpus_semilattices(SEED, count=40, max_size=10)
-    fails = 0
-    for L in lattices:
-        points = [alpha(L, a) for a in L.elements()]
-        ok = len(set(points)) == L.size
-        ok = ok and sorted(points, key=canonical_key) == list(primes_bruteforce(L.monoid).points)
-        ok = ok and all(beta(L, alpha(L, a)) == a for a in L.elements())
-        ok = ok and all(
-            alpha(L, meet(L, a, b)) == alpha(L, a) | alpha(L, b)
-            for a in L.elements() for b in L.elements()
-        )
-        ok = ok and alpha_opens_check(L)
-        if not ok:
-            fails += 1
-    report(5, fails == 0, f"downset-complement bijection suite on {len(lattices)} semilattices")
+    _, fails, total = check_alpha_suite(lattices)
+    report(5, fails == 0, f"downset-complement bijection suite on {total} semilattices")
 
 
 def test_criterion_6_naturality():
     maps = [f for f in corpus_join_morphisms(SEED, count=120) if is_join_morphism(f)]
     assert len(maps) >= 100
-    fails = sum(0 if naturality_square(f) else 1 for f in maps)
-    report(6, fails == 0, f"naturality square on {len(maps)} join-morphisms")
+    _, fails, total = check_naturality(maps)
+    report(6, fails == 0, f"naturality square on {total} join-morphisms")
 
 
 def test_criterion_7_grillet():
     monoids = [M for M in corpus_monoids(SEED, count=150, max_size=10) if M.size <= 7]
-    fails = 0
-    for M in monoids:
-        a = grillet_relation(M)
-        b = congruence_closure(M, [(x, M.table[x][x]) for x in M.elements()])
-        if a.classes != b.classes:
-            fails += 1
+    _, fails, total = check_grillet(monoids)
     report(7, fails == 0,
-           f"power-divisibility relation equals idempotent closure on {len(monoids)} monoids")
+           f"power-divisibility relation equals idempotent closure on {total} monoids")
 
 
 def test_criterion_8_power_submonoid():
     pairs = corpus_power_pairs(SEED, count=60)
     assert len(pairs) >= 50
-    fails = 0
-    for A, B in pairs:
-        try:
-            if not power_submonoid_check(A, B):
-                fails += 1
-        except HypothesisError:
-            fails += 1
-    report(8, fails == 0, f"power-submonoid spectrum bijection on {len(pairs)} pairs")
+    _, fails, total = check_power_submonoid(pairs)
+    report(8, fails == 0, f"power-submonoid spectrum bijection on {total} pairs")
 
 
 def test_criterion_9_dualizing_object():
     lattices = [L for L in corpus_semilattices(SEED, count=40, max_size=8) if L.size <= 8]
-    fails = 0
-    for L in lattices:
-        if not (ev_check(L.monoid) and spec_spec_check(L) and spec_cubed_check(L.monoid)):
-            fails += 1
+    _, fails, total = check_duals(lattices)
     report(9, fails == 0,
-           f"double dual, double spectrum and triple spectrum on {len(lattices)} semilattices")
+           f"double dual, double spectrum and triple spectrum on {total} semilattices")
 
 
 def test_criterion_10_limits():
     chains = corpus_submonoid_chains(SEED, count=60)
     assert len(chains) >= 50
-    fails = sum(0 if zg_check(M, stages) else 1 for M, stages in chains)
     lattices = [L for L in corpus_semilattices(SEED, count=40, max_size=8) if L.size <= 8]
-    fails += sum(0 if profinite_check(L) else 1 for L in lattices)
+    _, fails, _ = check_limits(chains, lattices)
     report(10, fails == 0,
            f"colimit spectra on {len(chains)} chains, profinite bijection on {len(lattices)} semilattices")
 
 
 def test_criterion_11_adjoint_suite():
     maps = [f for f in corpus_join_morphisms(SEED, count=120) if is_join_morphism(f)]
-    fails = 0
-    for f in maps:
-        g = right_adjoint(f)
-        ok = check_adjunction(f, g)
-        ok = ok and is_meet_morphism(g) and g.images[top(f.target)] == top(f.source)
-        ok = ok and left_adjoint(g).images == f.images
-        if not ok:
-            fails += 1
-    composable = 0
-    for f in maps:
-        for h in maps:
-            if f.target == h.source and composable < 200:
-                composable += 1
-                lhs = right_adjoint(compose_monotone(f, h))
-                rhs = compose_monotone(right_adjoint(h), right_adjoint(f))
-                if lhs.images != rhs.images:
-                    fails += 1
+    _, fails, total = check_adjoints(maps)
+    composable = total - len(maps)
     assert composable >= 50
     report(11, fails == 0,
            f"adjoint existence, round trip and duality on {len(maps)} maps, {composable} composites")

@@ -1,6 +1,18 @@
+from pathlib import Path
+
 import pytest
 
 from monospec.cli import main
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_COMMANDS = {
+    "spec-via-all": ["spec", "--via", "all"],
+    "sl": ["sl"],
+    "dot": ["dot"],
+    "dot-spec": ["dot", "--spec"],
+    "topology": ["topology"],
+}
 
 
 @pytest.fixture
@@ -37,11 +49,23 @@ def test_spec_z2(files, capsys):
 def test_spec_cap_exceeded(files, capsys):
     assert main(["spec", "--via", "brute", "--cap", "1", str(files / "i.mon")]) == 1
     assert "cap" in capsys.readouterr().err
+    for argv in (["spec", "--via", "hom", "--cap", "1", str(files / "i.mon")],
+                 ["spec", "--via", "hom", "--cap", "2", str(DATA / "xy.pres")]):
+        assert main(argv) == 1
+        assert "exceeds the cap" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(files, capsys):
     assert main(["spec", str(files / "bad.mon")]) == 1
     assert "error" in capsys.readouterr().err
+    # bad flags and unknown routes are input errors too, never exit 2
+    for argv in (["spec", "--bogus", str(files / "i.mon")],
+                 ["verify", "--seed", "x"],
+                 ["spec", "--via", "brute,bogus", str(files / "i.mon")],
+                 ["spec", "--via", "bogus", str(files / "i.mon")]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "error" in captured.err and captured.out == ""
 
 
 def test_unknown_extension(files, tmp_path, capsys):
@@ -101,3 +125,12 @@ def test_verify_quick(capsys):
 def test_verify_mutation_mode(capsys):
     assert main(["verify", "--mutate"]) == 0
     assert "mutation detected" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.iterdir()
+                                        if p.suffix in (".mon", ".pres")))
+def test_golden_output(name, command, capsys):
+    """stdout equals the text in tests/golden; every golden case exits 0."""
+    assert main(GOLDEN_COMMANDS[command] + [str(DATA / name)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.{command}.out").read_text()

@@ -1,7 +1,7 @@
 import pytest
 
 from monospec.congruence import sl_reflection
-from monospec.core import MonoidMap, sierpinski, validate_monoid
+from monospec.core import MonoidMap, monoid_homs, sierpinski, validate_monoid
 from monospec.corpus import chain_semilattice, corpus_monoids, cyclic_monoid
 from monospec.errors import CapExceeded, HypothesisError
 from monospec.presentation import free_semilattice, parse_presentation
@@ -12,7 +12,6 @@ from monospec.spectrum import (
     canonical_key,
     ev_check,
     greatest_prime,
-    homs_to_I,
     induced_spec_map,
     naturality_square,
     power_submonoid_check,
@@ -22,7 +21,6 @@ from monospec.spectrum import (
     spec_monoid,
     spec_presentation,
     spec_spec_check,
-    spec_union,
     spectrum_monoid,
     theta,
     theta_inverse,
@@ -45,9 +43,10 @@ def test_bruteforce_cap():
 
 
 def test_homs_to_I_counts():
-    assert len(homs_to_I(sierpinski())) == 2
-    assert len(homs_to_I(z2())) == 1
-    assert len(homs_to_I(validate_monoid([[0]]))) == 1
+    I = sierpinski()
+    assert len(monoid_homs(I, I)) == 2
+    assert len(monoid_homs(z2(), I)) == 1
+    assert len(monoid_homs(validate_monoid([[0]]), I)) == 1
 
 
 def test_theta_round_trip():
@@ -57,7 +56,7 @@ def test_theta_round_trip():
     assert theta(ident) == frozenset({1})
     assert theta(const) == frozenset()
     assert theta_inverse(I, {1}) == ident
-    for f in homs_to_I(free_semilattice(2).monoid):
+    for f in monoid_homs(free_semilattice(2).monoid, I):
         assert theta_inverse(f.source, theta(f)) == f
 
 
@@ -93,10 +92,10 @@ def test_spec_presentation_examples():
 def test_spec_union():
     S = primes_bruteforce(free_semilattice(2).monoid)
     for i in range(4):
-        assert spec_union(S, 0, i) == i
-        assert spec_union(S, i, i) == i
+        assert S.union_table[0][i] == i
+        assert S.union_table[i][i] == i
     # the two mid-size primes union to the greatest one
-    assert S.points[spec_union(S, 1, 2)] == S.points[1] | S.points[2]
+    assert S.points[S.union_table[1][2]] == S.points[1] | S.points[2]
     assert S.points[3] == greatest_prime(free_semilattice(2).monoid)
 
 
@@ -138,6 +137,8 @@ def test_ev_and_double_spectrum():
     assert ev_check(sierpinski())
     assert ev_check(validate_monoid([[0]]))
     assert ev_check(free_semilattice(2).monoid)
+    with pytest.raises(CapExceeded):
+        ev_check(free_semilattice(2).monoid, cap=3)
     assert spec_spec_check(from_monoid(sierpinski()))
     assert spec_spec_check(chain_semilattice(3))
     assert spec_spec_check(free_semilattice(2))
@@ -159,7 +160,7 @@ def test_power_submonoid_check():
 
 def test_theta_is_monoid_iso_pointwise():
     for M in corpus_monoids(12, count=20, max_size=8):
-        homs = homs_to_I(M)
+        homs = monoid_homs(M, sierpinski())
         assert len(homs) == len(primes_bruteforce(M).points)
         for f in homs:
             for g in homs:

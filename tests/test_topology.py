@@ -16,7 +16,6 @@ from monospec.topology import (
     spec_topology,
     theta_homeo_check,
     topology,
-    topology_from_basis,
     union_continuous,
 )
 
@@ -36,12 +35,12 @@ def test_basis_D_free_semilattice():
 
 
 def test_topology_from_basis():
-    T = topology_from_basis(2, [frozenset({0, 1})])
+    T = topology(2, [frozenset({0, 1})])
     assert T.opens == (frozenset(), frozenset({0, 1}))
     I = sierpinski()
     T = spec_topology(I, primes_bruteforce(I))
     assert T.opens == (frozenset(), frozenset({0}), frozenset({0, 1}))
-    T = topology_from_basis(3, [frozenset({0}), frozenset({1}), frozenset({2})])
+    T = topology(3, [frozenset({0}), frozenset({1}), frozenset({2})])
     assert len(T.opens) == 8  # discrete
 
 
