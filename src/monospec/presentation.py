@@ -3,7 +3,10 @@
 A presentation is a list of generator names plus relations between commutative
 words (exponent vectors).  The presented monoid itself is never materialized;
 only its reflection, the quotient of the free semilattice on the generators by
-the supports of the relations, which is always finite.
+the supports of the relations, which is always finite.  That quotient is the
+lattice of generator sets closed under the rules supp(u) <= X => supp(v) <= X
+and back, so it is computed from the Horn closures of the 2^k generator
+bitmasks; the free semilattice itself is never built for it.
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
-from .congruence import congruence_closure, quotient
-from .core import SUBSET_CAP
-from .errors import CapExceeded, ParseError
+from .core import SUBSET_CAP, FiniteMonoid
+from .errors import CapExceeded, ParseError, ValidationError
 from .semilattice import JoinSemilattice, from_monoid
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -119,22 +121,33 @@ def subsets_in_order(k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def free_semilattice(k: int, names=None, cap: int = SUBSET_CAP) -> JoinSemilattice:
-    """Subsets of k generators under union; identity is the empty set."""
+def _mask(subset) -> int:
+    return sum(1 << i for i in subset)
+
+
+def _check_generator_count(k: int, cap: int) -> None:
     if k < 0:
         raise CapExceeded("generator count must be nonnegative")
     if k > cap:
         raise CapExceeded(f"{k} generators exceeds the cap of {cap}")
+
+
+def _subset_name(names, subset) -> str:
+    return "{" + ",".join(names[i] for i in subset) + "}"
+
+
+def free_semilattice(k: int, names=None, cap: int = SUBSET_CAP) -> JoinSemilattice:
+    """Subsets of k generators under union; identity is the empty set."""
+    _check_generator_count(k, cap)
     if names is None:
         names = tuple(f"g{i + 1}" for i in range(k))
     subsets = subsets_in_order(k)
-    index = {s: i for i, s in enumerate(subsets)}
-    table = tuple(
-        tuple(index[tuple(sorted(set(a) | set(b)))] for b in subsets) for a in subsets
-    )
-    elem_names = tuple("{" + ",".join(names[i] for i in s) + "}" for s in subsets)
-    from .core import FiniteMonoid
-
+    masks = [_mask(s) for s in subsets]
+    index = [0] * (1 << k)
+    for i, m in enumerate(masks):
+        index[m] = i
+    table = tuple(tuple(index[a | b] for b in masks) for a in masks)
+    elem_names = tuple(_subset_name(names, s) for s in subsets)
     return from_monoid(FiniteMonoid(table, elem_names))
 
 
@@ -142,19 +155,77 @@ def support(word) -> tuple[int, ...]:
     return tuple(i for i, e in enumerate(word) if e > 0)
 
 
-def sl_of_presentation(P: Presentation, cap: int = SUBSET_CAP) -> tuple[JoinSemilattice, tuple[int, ...]]:
+def _horn_closure(x: int, rules) -> int:
+    """Least superset of x closed under every rule (a, b): a <= x implies b <= x."""
+    while True:
+        y = x
+        for a, b in rules:
+            if a & y == a:
+                y |= b
+        if y == x:
+            return x
+        x = y
+
+
+def sl_of_presentation(P: Presentation, cap: int = SUBSET_CAP,
+                       max_size: int | None = None) -> tuple[JoinSemilattice, tuple[int, ...]]:
     """Reflection of the presented monoid, plus the images of the generators.
 
-    Quotient of the free semilattice on the generators by the closure of
-    {(supp(u), supp(v))} over the relations; each relation x^a with a >= 1
-    contributes x itself.
+    Two generator sets are identified when they have the same closure under
+    the rules supp(u) <= X => supp(v) <= X and back, one pair per relation
+    u = v (x^a with a >= 1 has the support {x}).  The classes are numbered in
+    the order of `subsets_in_order`, each represented by its first subset;
+    this is the quotient of the free semilattice by the relations' supports,
+    with its element order and names, computed in O(2^k k r) without the 4^k
+    free table.  Raises CapExceeded when k exceeds `cap` or the reflection
+    has more than `max_size` elements; the size check comes before any
+    |L| x |L| table is built.
     """
     k = len(P.generators)
-    F = free_semilattice(k, names=P.generators, cap=cap)
+    _check_generator_count(k, cap)
+    rules = set()
+    for u, v in P.relations:
+        a, b = _mask(support(u)), _mask(support(v))
+        if b & ~a:
+            rules.add((a, b))
+        if a & ~b:
+            rules.add((b, a))
+    # closure[x] from the closure of x less its lowest bit, already computed
+    closure = [0] * (1 << k)
+    closure[0] = _horn_closure(0, rules)
+    for x in range(1, 1 << k):
+        low = x & -x
+        c = closure[x ^ low]
+        closure[x] = c if c & low else _horn_closure(c | low, rules)
     subsets = subsets_in_order(k)
-    index = {s: i for i, s in enumerate(subsets)}
-    pairs = [(index[support(u)], index[support(v)]) for u, v in P.relations]
-    C = congruence_closure(F.monoid, pairs)
-    Q, q = quotient(F.monoid, C)
-    gen_images = tuple(q.images[index[(i,)]] for i in range(k))
-    return from_monoid(Q), gen_images
+    class_of = [0] * (1 << k)
+    reps, rep_subsets = [], []
+    numbered = {}
+    for s in subsets:
+        x = _mask(s)
+        c = closure[x]
+        if c not in numbered:
+            numbered[c] = len(reps)
+            reps.append(x)
+            rep_subsets.append(s)
+        class_of[x] = numbered[c]
+    if max_size is not None and len(reps) > max_size:
+        raise CapExceeded(f"reflection size {len(reps)} exceeds the cap of {max_size}")
+    # congruence: X and its representative stay together after adding any
+    # generator, hence after adding any set (singletons generate the union)
+    bits = [1 << g for g in range(k)]
+    for x in range(1 << k):
+        r = reps[class_of[x]]
+        if r != x:
+            for bit in bits:
+                if class_of[x | bit] != class_of[r | bit]:
+                    raise ValidationError(
+                        f"closure classes are not a congruence: masks {x} ~ {r} "
+                        f"split after adding mask {bit}"
+                    )
+    table = tuple(tuple(class_of[a | b] for b in reps) for a in reps)
+    names = tuple(_subset_name(P.generators, s) for s in rep_subsets)
+    if len(reps) < len(subsets):
+        names = tuple(f"[{name}]" for name in names)
+    gen_images = tuple(class_of[bit] for bit in bits)
+    return from_monoid(FiniteMonoid(table, names)), gen_images

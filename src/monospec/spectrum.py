@@ -149,8 +149,10 @@ def spec_presentation(P: Presentation, cap: int = SUBSET_CAP):
 
     Returns (L, gen_images, spectrum of L, supports) where each support is the
     frozenset of generator indices whose principal ideals the prime contains.
+    Raises CapExceeded, as `spec_monoid` does, when L has more than `cap`
+    elements.
     """
-    L, gen_images = sl_of_presentation(P, cap=cap)
+    L, gen_images = sl_of_presentation(P, cap=cap, max_size=cap)
     S = build_spectrum(L.monoid, [alpha(L, a) for a in L.elements()])
     supports = tuple(
         frozenset(i for i, g in enumerate(gen_images) if g in p) for p in S.points

@@ -8,7 +8,7 @@ tests build their own corpora and call the same `check_*` functions.
 
 from __future__ import annotations
 
-from .congruence import congruence_closure, grillet_relation, sl_reflection
+from .congruence import congruence_closure, grillet_relation, quotient, sl_reflection
 from .core import (
     FiniteMonoid,
     MonoidMap,
@@ -29,6 +29,7 @@ from .corpus import (
 )
 from .errors import HypothesisError, ValidationError
 from .limits import profinite_check, zg_check
+from .presentation import free_semilattice, subsets_in_order, support
 from .semilattice import (
     check_adjunction,
     compose_monotone,
@@ -71,13 +72,33 @@ def routes_agree(M: FiniteMonoid) -> bool:
     return r1 == r2 == r3
 
 
+def free_quotient(P):
+    """Reference reflection of a presentation, with the generator images.
+
+    The quotient of the free semilattice on the generators by the congruence
+    closure of the relations' supports: O(4^k), independent of the closure
+    classes `sl_of_presentation` computes.
+    """
+    k = len(P.generators)
+    F = free_semilattice(k, names=P.generators)
+    index = {s: i for i, s in enumerate(subsets_in_order(k))}
+    C = congruence_closure(F.monoid, [(index[support(u)], index[support(v)])
+                                      for u, v in P.relations])
+    Q, q = quotient(F.monoid, C)
+    return Q, tuple(q.images[index[(i,)]] for i in range(k))
+
+
 def check_three_routes(monoids, presentations):
+    """Route agreement; a presented reflection must also equal `free_quotient`."""
     fails = 0
     for M in monoids:
         if not routes_agree(M):
             fails += 1
     for P in presentations:
-        L, _, S, supports = spec_presentation(P)
+        L, gen_images, S, supports = spec_presentation(P)
+        if free_quotient(P) != (L.monoid, gen_images):
+            fails += 1
+            continue
         if not routes_agree(L.monoid):
             fails += 1
             continue
@@ -252,13 +273,15 @@ def run_all(seed: int = 0, quick: bool = False):
     scale = 1 if not quick else 4
     lattices = corpus_semilattices(seed, count=40, max_size=10)
     join_maps = [f for f in corpus_join_morphisms(seed, count=120 // scale) if is_join_morphism(f)]
+    # the corpus is a seeded sequence, so a shorter one is a prefix of this
+    monoids = corpus_monoids(seed, count=150, max_size=10)
     results = [
-        check_three_routes(corpus_monoids(seed, count=150 // scale, max_size=10),
+        check_three_routes(monoids[:150 // scale],
                            corpus_presentations(seed, count=60 // scale, max_gens=6)),
-        check_theta([M for M in corpus_monoids(seed, count=120, max_size=10) if M.size <= 8]),
+        check_theta([M for M in monoids[:120] if M.size <= 8]),
         check_alpha_suite(lattices),
         check_naturality(join_maps),
-        check_grillet([M for M in corpus_monoids(seed, count=150, max_size=10) if M.size <= 7]),
+        check_grillet([M for M in monoids if M.size <= 7]),
         check_power_submonoid(corpus_power_pairs(seed, count=60 // scale)),
         check_duals([L for L in lattices if L.size <= 8]),
         check_limits(corpus_submonoid_chains(seed, count=60 // scale),

@@ -1,4 +1,5 @@
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -50,9 +51,18 @@ def test_spec_cap_exceeded(files, capsys):
     assert main(["spec", "--via", "brute", "--cap", "1", str(files / "i.mon")]) == 1
     assert "cap" in capsys.readouterr().err
     for argv in (["spec", "--via", "hom", "--cap", "1", str(files / "i.mon")],
-                 ["spec", "--via", "hom", "--cap", "2", str(DATA / "xy.pres")]):
+                 ["spec", "--via", "hom", "--cap", "2", str(DATA / "xy.pres")],
+                 ["spec", "--via", "alpha", "--cap", "2", str(DATA / "xy.pres")]):
         assert main(argv) == 1
         assert "exceeds the cap" in capsys.readouterr().err
+    # the free reflection on 12 generators (4096 elements) is refused at the
+    # default cap before its 4096 x 4096 table is built
+    twelve = files / "twelve.pres"
+    twelve.write_text("gens: " + " ".join(f"g{i}" for i in range(12)) + "\n")
+    start = perf_counter()
+    assert main(["spec", str(twelve)]) == 1
+    assert perf_counter() - start < 0.5
+    assert "exceeds the cap" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(files, capsys):

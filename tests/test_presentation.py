@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from monospec.congruence import sl_reflection
@@ -9,7 +11,10 @@ from monospec.presentation import (
     free_semilattice,
     parse_presentation,
     sl_of_presentation,
+    subsets_in_order,
 )
+from monospec.semilattice import from_monoid
+from monospec.verify import free_quotient
 
 
 def test_parse_natural_numbers():
@@ -53,6 +58,12 @@ def test_free_semilattice_small():
     assert F.size == 4 and is_idempotent(F.monoid)
     with pytest.raises(CapExceeded):
         free_semilattice(20)
+    for k in range(5):
+        subsets = subsets_in_order(k)
+        table = free_semilattice(k).monoid.table
+        for i, a in enumerate(subsets):
+            for j, b in enumerate(subsets):
+                assert table[i][j] == subsets.index(tuple(sorted(set(a) | set(b))))
 
 
 def test_sl_of_presentation_examples():
@@ -69,6 +80,28 @@ def test_sl_of_presentation_examples():
     # x^2 = 1 collapses everything
     L, _ = sl_of_presentation(parse_presentation("gens: x\nrels: x^2 = 1"))
     assert L.size == 1
+
+    # g0 = gi^2 ties 16 generators together: {} below one top element
+    names = " ".join(f"g{i}" for i in range(16))
+    rels = " ; ".join(f"g0 = g{i}^2" for i in range(1, 16))
+    L, gens = sl_of_presentation(parse_presentation(f"gens: {names}\nrels: {rels}"))
+    assert L.size == 2 and gens == (1,) * 16
+    assert L.names == ("[{}]", "[{g0}]")
+
+
+def test_sl_of_presentation_equals_free_quotient():
+    rng = random.Random("closure-vs-quotient")
+    for _ in range(1000):
+        k = rng.randint(0, 7)
+        rels = tuple((tuple(rng.choice((0, 0, 1, 2)) for _ in range(k)),
+                      tuple(rng.choice((0, 0, 1, 3)) for _ in range(k)))
+                     for _ in range(rng.randint(0, k + 2)))
+        P = Presentation(tuple(f"g{i}" for i in range(k)), rels)
+        L, gens = sl_of_presentation(P)
+        Q, ref_gens = free_quotient(P)
+        assert L.monoid == Q, P
+        assert L.leq == from_monoid(Q).leq, P
+        assert gens == ref_gens, P
 
 
 def test_free_semilattice_prime_count():
