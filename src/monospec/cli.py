@@ -58,7 +58,7 @@ def _reflection(kind, obj, cap):
     if kind == "mon":
         L, _ = sl_reflection(obj)
         return L
-    L, _ = sl_of_presentation(obj, cap=cap)
+    L, _ = sl_of_presentation(obj, cap=cap, max_size=cap)
     return L
 
 
@@ -112,7 +112,7 @@ def cmd_sl(args) -> int:
         print("projection: " + " ".join(
             f"{obj.names[x]}->{L.names[q.images[x]]}" for x in obj.elements()))
     else:
-        L, gens = sl_of_presentation(obj, cap=args.cap)
+        L, gens = sl_of_presentation(obj, cap=args.cap, max_size=args.cap)
         print(format_monoid_table(L.monoid), end="")
         print("generators: " + " ".join(
             f"{g}->{L.names[i]}" for g, i in zip(obj.generators, gens)))

@@ -1,8 +1,11 @@
 """Colimits of submonoid chains and inverse limits of finite stage systems.
 
 General categorical colimits are deliberately replaced by unions of submonoid
-chains, the only shape needed here; inverse limits enumerate coherent families
-(one point per stage, compatible with every transition map).
+chains, the only shape needed here.  The systems built here are directed:
+chain stages are related to the next stage and subsemilattices to the
+subsemilattices they cover.  Their inverse limits are the coherent families
+(one point per stage, compatible with every transition map), read down from
+the greatest stage.
 """
 
 from __future__ import annotations
@@ -63,50 +66,41 @@ def inverse_system(sizes, relations, maps) -> InverseSystem:
 
 
 def inverse_limit(system: InverseSystem) -> list[tuple[int, ...]]:
-    """All coherent families, canonically sorted.
+    """All coherent families, canonically sorted, read down from the greatest stage.
 
-    When some stage maps onto every other one, families are enumerated from it
-    and verified; otherwise plain backtracking over the stages.
+    The greatest stage is the one stage that is never the low end of a
+    non-self relation and that reaches every stage along the relations.  Each
+    of its points is carried down the relations in BFS order, and the family
+    is kept when it is coherent on every relation.  A finite directed system
+    has a greatest stage; raises ValidationError when there is none.
     """
     n = len(system.sizes)
     if n == 0:
         return [()]
-    relset = set(system.relations)
-
-    def coherent(choice) -> bool:
-        return all(
-            system.maps[(i, j)][choice[j]] == choice[i] for (i, j) in system.relations if i != j
-        )
-
-    maximal = next(
-        (m for m in range(n) if all((i, m) in relset for i in range(n) if i != m)),
-        None,
-    )
+    below: dict[int, list[int]] = {}
+    for (i, j) in system.relations:
+        if i != j:
+            below.setdefault(j, []).append(i)
+    tops = set(range(n)).difference(*below.values())
+    order, edges = list(tops)[:1], []
+    seen = set(order)
+    for high in order:  # grows while it is read: BFS from the top
+        for low in below.get(high, ()):
+            if low not in seen:
+                seen.add(low)
+                order.append(low)
+                edges.append((low, high))
+    if len(tops) != 1 or len(order) != n:
+        raise ValidationError("the system has no greatest stage")
     families = []
-    if maximal is not None:
-        for p in range(system.sizes[maximal]):
-            choice = [system.maps[(i, maximal)][p] if i != maximal else p for i in range(n)]
-            if coherent(choice):
-                families.append(tuple(choice))
-    else:
+    for p in range(system.sizes[order[0]]):
         choice = [0] * n
-
-        def assign(stage: int):
-            if stage == n:
-                families.append(tuple(choice))
-                return
-            for p in range(system.sizes[stage]):
-                choice[stage] = p
-                ok = all(
-                    system.maps[(i, j)][choice[j]] == choice[i]
-                    for (i, j) in system.relations
-                    if i != j and i <= stage and j <= stage
-                )
-                if ok:
-                    assign(stage + 1)
-
-        assign(0)
-    return sorted(set(families))
+        choice[order[0]] = p
+        for (i, j) in edges:
+            choice[i] = system.maps[(i, j)][choice[j]]
+        if all(system.maps[(i, j)][choice[j]] == choice[i] for (i, j) in system.relations):
+            families.append(tuple(choice))
+    return sorted(families)
 
 
 def colimit_of_submonoid_chain(ambient: FiniteMonoid, chain) -> tuple[FiniteMonoid, dict[int, int]]:
@@ -124,48 +118,39 @@ def colimit_of_submonoid_chain(ambient: FiniteMonoid, chain) -> tuple[FiniteMono
     return submonoid_as_monoid(ambient, chain[-1])
 
 
-def _stage_spectra(ambient: FiniteMonoid, chain, cap):
-    """Spectra of the chain stages plus restriction maps between them."""
+def _restrict(p, ambient_of, stage) -> int:
+    """The point of `stage`'s spectrum that the prime p cuts out of it.
+
+    `ambient_of` sends p's local indices to the ambient monoid's.
+    """
+    local, spec = stage
+    restricted = frozenset(local[ambient_of[x]] for x in p if ambient_of[x] in local)
+    return spec.points.index(restricted)
+
+
+def _stage_spectra(ambient: FiniteMonoid, chain):
+    """Spectra of the chain stages plus restriction maps to the previous stage."""
     stages = []
     for stage in chain:
         mon, local = submonoid_as_monoid(ambient, stage)
-        spec = primes_bruteforce(mon, cap=cap)
-        stages.append((frozenset(stage), mon, local, spec))
-    sizes = [len(s[3].points) for s in stages]
-    relations = []
+        stages.append((local, primes_bruteforce(mon)))
     maps = {}
-    for i in range(len(stages)):
-        for j in range(i, len(stages)):
-            set_i, _, local_i, spec_i = stages[i]
-            set_j, _, local_j, spec_j = stages[j]
-            ambient_j = {v: k for k, v in local_j.items()}
-            index_i = {p: k for k, p in enumerate(spec_i.points)}
-            t = []
-            for p in spec_j.points:
-                restricted = frozenset(local_i[ambient_j[x]] for x in p if ambient_j[x] in set_i)
-                t.append(index_i[restricted])
-            relations.append((i, j))
-            maps[(i, j)] = tuple(t)
-    return stages, inverse_system(sizes, relations, maps)
+    for i in range(len(stages) - 1):
+        local_j, spec_j = stages[i + 1]
+        ambient_j = {v: k for k, v in local_j.items()}
+        maps[(i, i + 1)] = tuple(_restrict(p, ambient_j, stages[i]) for p in spec_j.points)
+    return stages, inverse_system([len(s[1].points) for s in stages], list(maps), maps)
 
 
-def zg_check(ambient: FiniteMonoid, chain, cap: int = 16) -> bool:
+def zg_check(ambient: FiniteMonoid, chain) -> bool:
     """Spec of the chain union matches the inverse limit of the stage spectra."""
     chain = [frozenset(s) for s in chain]
     colim, local = colimit_of_submonoid_chain(ambient, chain)
-    spec_c = primes_bruteforce(colim, cap=cap)
-    stages, system = _stage_spectra(ambient, chain, cap)
-    families = inverse_limit(system)
+    stages, system = _stage_spectra(ambient, chain)
     ambient_c = {v: k for k, v in local.items()}
-    images = []
-    for p in spec_c.points:
-        fam = []
-        for set_i, _, local_i, spec_i in stages:
-            restricted = frozenset(local_i[ambient_c[x]] for x in p if ambient_c[x] in set_i)
-            index_i = {q: k for k, q in enumerate(spec_i.points)}
-            fam.append(index_i[restricted])
-        images.append(tuple(fam))
-    return len(set(images)) == len(images) and sorted(images) == families
+    images = [tuple(_restrict(p, ambient_c, stage) for stage in stages)
+              for p in primes_bruteforce(colim).points]
+    return len(set(images)) == len(images) and sorted(images) == inverse_limit(system)
 
 
 def subsemilattices(L: JoinSemilattice) -> list[tuple[int, ...]]:
@@ -185,27 +170,30 @@ def subsemilattices(L: JoinSemilattice) -> list[tuple[int, ...]]:
 
 
 def profinite_system(L: JoinSemilattice) -> tuple[list[tuple[int, ...]], InverseSystem]:
-    """The inverse system of all subsemilattices, dualized via right adjoints.
+    """The inverse system of all subsemilattices on their covers, dualized via right adjoints.
 
-    For an inclusion of stages the transition is the right adjoint of the
-    inclusion map: y goes to the greatest element of the smaller stage below y.
+    T covers S exactly when S = T less one element x: for S < T, a minimal
+    element x of T - S is join-irreducible in T (the elements of T strictly
+    below x lie in S, whose joins stay in S), so T - {x} is a subsemilattice
+    between S and T.  Each cover is therefore found by looking up the bitmask of T
+    less one non-bottom element among the stages.  The transition is the
+    right adjoint of the inclusion: y goes to the greatest element of S below
+    y, so it fixes S and sends x to the join of S below x.  Right adjoints
+    compose, so the covers determine the transition between any two stages.
     """
     stages = subsemilattices(L)
-    sizes = [len(s) for s in stages]
-    relations = []
+    index = {sum(1 << x for x in s): k for k, s in enumerate(stages)}
     maps = {}
-    stage_sets = [frozenset(s) for s in stages]
-    for i, si in enumerate(stage_sets):
-        for j, sj in enumerate(stage_sets):
-            if si <= sj:
-                t = []
-                for y in stages[j]:
-                    below = [x for x in stages[i] if L.leq[x][y]]
-                    g = reduce(L.join, below)
-                    t.append(stages[i].index(g))
-                relations.append((i, j))
+    for mask, j in index.items():
+        high = stages[j]
+        for x in high[1:]:
+            i = index.get(mask ^ (1 << x))
+            if i is not None:
+                low = stages[i]
+                t = [k - (y > x) for k, y in enumerate(high)]  # positions in high less x
+                t[high.index(x)] = low.index(reduce(L.join, [s for s in low if L.leq[s][x]]))
                 maps[(i, j)] = tuple(t)
-    return stages, inverse_system(sizes, relations, maps)
+    return stages, inverse_system([len(s) for s in stages], sorted(maps), maps)
 
 
 def profinite_spec(L: JoinSemilattice):
@@ -217,11 +205,20 @@ def profinite_spec(L: JoinSemilattice):
     return stages, families, [fam[full] for fam in families]
 
 
-def profinite_check(L: JoinSemilattice, cap: int = 16) -> bool:
-    """Families biject with Spec(L) through the downset-complement map."""
-    _, families, evaluations = profinite_spec(L)
+def profinite_check(L: JoinSemilattice) -> bool:
+    """Families biject with Spec(L) through the downset-complement map.
+
+    Each family must also be the restriction of its prime alpha(L, a) to
+    every stage S: the point it picks at S is the greatest element of S
+    below a.  The bijection alone reads each family at the full stage, where
+    it starts, so it would miss a wrong transition.
+    """
+    stages, families, evaluations = profinite_spec(L)
     if len(families) != L.size or len(set(evaluations)) != len(evaluations):
         return False
-    spec = primes_bruteforce(L.monoid, cap=cap)
+    if not all(L.leq[s][a] == L.leq[s][S[k]]
+               for fam, a in zip(families, evaluations)
+               for S, k in zip(stages, fam) for s in S):
+        return False
     image = sorted((alpha(L, a) for a in evaluations), key=canonical_key)
-    return image == list(spec.points)
+    return image == list(primes_bruteforce(L.monoid).points)

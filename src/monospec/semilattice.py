@@ -139,9 +139,9 @@ def right_adjoint(f: MonotoneMap, must_be_join_morphism: bool = True) -> Monoton
     return monotone_map(tgt, src, images)
 
 
-def left_adjoint(g: MonotoneMap, must_be_meet_morphism: bool = True) -> MonotoneMap:
+def left_adjoint(g: MonotoneMap) -> MonotoneMap:
     """The map y -> Min{x | y <= g(x)}, characterized by h(y) <= x iff y <= g(x)."""
-    if must_be_meet_morphism and not is_meet_morphism(g):
+    if not is_meet_morphism(g):
         raise ValidationError("map does not preserve meets and the top")
     src, tgt = g.source, g.target
     images = []

@@ -65,6 +65,17 @@ def test_spec_cap_exceeded(files, capsys):
     assert "exceeds the cap" in capsys.readouterr().err
 
 
+def test_reflection_commands_cap_presentations(files, capsys):
+    # the free reflection on 10 generators has 1024 elements; sl, dot and
+    # topology refuse it at the default cap instead of printing its table
+    ten = files / "ten.pres"
+    ten.write_text("gens: " + " ".join(f"g{i}" for i in range(10)) + "\n")
+    for command in ("sl", "dot", "topology"):
+        assert main([command, str(ten)]) == 1
+        captured = capsys.readouterr()
+        assert "exceeds the cap" in captured.err and captured.out == ""
+
+
 def test_parse_error_exit_code(files, capsys):
     assert main(["spec", str(files / "bad.mon")]) == 1
     assert "error" in capsys.readouterr().err

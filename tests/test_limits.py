@@ -3,12 +3,14 @@ import pytest
 from monospec.core import sierpinski, submonoid_closure, validate_monoid
 from monospec.corpus import chain_semilattice, corpus_submonoid_chains
 from monospec.errors import ValidationError
+from monospec import limits
 from monospec.limits import (
     colimit_of_submonoid_chain,
     inverse_limit,
     inverse_system,
     profinite_check,
     profinite_spec,
+    profinite_system,
     subsemilattices,
     zg_check,
 )
@@ -39,6 +41,11 @@ def test_inverse_limit_single_stage():
 def test_inverse_limit_constant_map():
     sys2 = inverse_system([1, 3], [(0, 1)], {(0, 1): (0, 0, 0)})
     assert inverse_limit(sys2) == [(0, 0), (0, 1), (0, 2)]
+
+
+def test_inverse_limit_needs_a_greatest_stage():
+    with pytest.raises(ValidationError, match="greatest stage"):
+        inverse_limit(inverse_system([2, 2], [], {}))
 
 
 def test_colimit_of_chain():
@@ -84,3 +91,31 @@ def test_profinite_examples():
     assert profinite_check(chain_semilattice(1))
     assert profinite_check(chain_semilattice(3))
     assert profinite_check(free_semilattice(2))
+
+
+def test_profinite_system_relates_covers():
+    _, system = profinite_system(chain_semilattice(3))
+    assert system.relations == [(0, 1), (0, 2), (1, 3), (2, 3)]
+
+
+def test_profinite_free_semilattice_4():
+    assert profinite_check(free_semilattice(4))
+
+
+def test_wrong_transition_is_caught(monkeypatch):
+    """Changing one entry of one transition makes both checks fail."""
+    valid_system = limits.inverse_system
+
+    def faulty(sizes, relations, maps):
+        maps = dict(maps)
+        rel = next(r for r in relations if r[0] != r[1] and sizes[r[0]] >= 2)
+        t = list(maps[rel])
+        t[0] = (t[0] + 1) % sizes[rel[0]]
+        maps[rel] = tuple(t)
+        return valid_system(sizes, relations, maps)
+
+    monkeypatch.setattr(limits, "inverse_system", faulty)
+    for L in (free_semilattice(2), chain_semilattice(3), free_semilattice(3)):
+        assert not profinite_check(L)
+    F = free_semilattice(2).monoid
+    assert not zg_check(F, [frozenset({0}), frozenset({0, 1}), frozenset(range(4))])
