@@ -15,13 +15,14 @@ from . import dot as dot_mod
 from .congruence import sl_reflection
 from .core import (
     SUBSET_CAP,
+    enforce_cap,
     format_monoid_table,
     monoid_homs,
     parse_monoid_table,
     render_set,
     sierpinski,
 )
-from .errors import CapExceeded, InputError, IntegrityError
+from .errors import InputError, IntegrityError
 from .presentation import parse_presentation, sl_of_presentation
 from .semilattice import monotone_map, left_adjoint, right_adjoint
 from .spectrum import (
@@ -48,17 +49,18 @@ def _load(path: str, kind: str | None):
             kind = "pres"
         else:
             raise InputError(f"cannot infer input kind from {path!r}; pass --kind")
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text ({e.reason})")
     if kind == "mon":
         return "mon", parse_monoid_table(text)
     return "pres", parse_presentation(text)
 
 
-def _reflection(kind, obj, cap):
-    if kind == "mon":
-        L, _ = sl_reflection(obj)
-        return L
-    L, _ = sl_of_presentation(obj, cap=cap, max_size=cap)
+def _reflection(args):
+    kind, obj = _load(args.input, args.kind)
+    L, _ = sl_reflection(obj) if kind == "mon" else sl_of_presentation(obj, args.cap)
     return L
 
 
@@ -85,8 +87,7 @@ def cmd_spec(args) -> int:
     if "brute" in vias:
         results["brute"] = list(primes_bruteforce(M, cap=args.cap).points)
     if "hom" in vias:
-        if M.size > args.cap:
-            raise CapExceeded(f"size {M.size} exceeds the cap of {args.cap}")
+        enforce_cap("size", M.size, args.cap)
         results["hom"] = sorted((theta(f) for f in monoid_homs(M, sierpinski())),
                                 key=canonical_key)
     for via in ROUTES:
@@ -112,7 +113,7 @@ def cmd_sl(args) -> int:
         print("projection: " + " ".join(
             f"{obj.names[x]}->{L.names[q.images[x]]}" for x in obj.elements()))
     else:
-        L, gens = sl_of_presentation(obj, cap=args.cap, max_size=args.cap)
+        L, gens = sl_of_presentation(obj, args.cap)
         print(format_monoid_table(L.monoid), end="")
         print("generators: " + " ".join(
             f"{g}->{L.names[i]}" for g, i in zip(obj.generators, gens)))
@@ -120,8 +121,7 @@ def cmd_sl(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    kind, obj = _load(args.input, args.kind)
-    L = _reflection(kind, obj, args.cap)
+    L = _reflection(args)
     if args.spec:
         from .semilattice import from_monoid
         from .spectrum import spectrum_monoid
@@ -135,8 +135,7 @@ def cmd_dot(args) -> int:
 
 
 def cmd_topology(args) -> int:
-    kind, obj = _load(args.input, args.kind)
-    L = _reflection(kind, obj, args.cap)
+    L = _reflection(args)
     T = ideal_opens(L, cap=args.cap)
     print(format_opens(T, names=L.names), end="")
     return 0
@@ -235,10 +234,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except IntegrityError as e:

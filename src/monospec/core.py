@@ -10,10 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ParseError, ValidationError
+from .errors import CapExceeded, ParseError, ValidationError
 
 #: Default cap for exhaustive subset enumerations (2^SUBSET_CAP subsets).
 SUBSET_CAP = 16
+
+
+def enforce_cap(what: str, n: int, cap: int = SUBSET_CAP) -> None:
+    """Raise CapExceeded, whose docstring gives the rule, when n exceeds cap."""
+    if n > cap:
+        raise CapExceeded(f"{what} {n} exceeds the cap of {cap}")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from .core import (
     trivial_monoid,
     validate_monoid,
 )
+from .errors import CapExceeded
 from .presentation import Presentation, free_semilattice, sl_of_presentation
 from .semilattice import JoinSemilattice, MonotoneMap, from_monoid
 
@@ -127,9 +128,11 @@ def corpus_presentations(seed: int, count: int = 60, max_gens: int = 6,
             v = tuple(rng.choice([0, 0, 1, 3]) for _ in range(k))
             rels.append((u, v))
         P = Presentation(tuple(f"g{i + 1}" for i in range(k)), tuple(rels))
-        L, _ = sl_of_presentation(P)
-        if L.size <= max_reflection:
-            out.append(P)
+        try:
+            sl_of_presentation(P, max_reflection)
+        except CapExceeded:
+            continue
+        out.append(P)
     return out
 
 

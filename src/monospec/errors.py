@@ -23,7 +23,11 @@ class ParseError(InputError):
 
 
 class CapExceeded(InputError):
-    """An exhaustive enumeration would exceed the configured size cap."""
+    """A set is over the size cap, raised only by `core.enforce_cap`.
+
+    The cap bounds every set whose subsets are enumerated (a table's elements,
+    a presentation's generators, a semilattice's elements) and a reflection's
+    size before it is tabulated."""
 
 
 class HypothesisError(InputError):

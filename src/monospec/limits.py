@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .core import FiniteMonoid, is_submonoid, submonoid_as_monoid
+from .core import FiniteMonoid, enforce_cap, is_submonoid, submonoid_as_monoid
 from .errors import ValidationError
 from .semilattice import JoinSemilattice
 from .spectrum import alpha, canonical_key, primes_bruteforce
@@ -161,6 +161,7 @@ def subsemilattices(L: JoinSemilattice) -> list[tuple[int, ...]]:
     full system of finitely generated subsemilattices.
     """
     n = L.size
+    enforce_cap("size", n)
     out = []
     for mask in range(1, 1 << n, 2):  # bit 0: the least element is always in
         members = [x for x in range(n) if (mask >> x) & 1]

@@ -15,8 +15,8 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import SUBSET_CAP, FiniteMonoid
-from .errors import CapExceeded, ParseError, ValidationError
+from .core import SUBSET_CAP, FiniteMonoid, enforce_cap
+from .errors import ParseError, ValidationError
 from .semilattice import JoinSemilattice, from_monoid
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -32,6 +32,7 @@ class Presentation:
 def _parse_word(text: str, gens: dict[str, int], lineno: int, offset: int) -> tuple[int, ...]:
     exps = [0] * len(gens)
     s = text.strip()
+    offset += len(text) - len(text.lstrip())  # columns count the stripped prefix
     if s == "1":
         return tuple(exps)
     pos = 0
@@ -102,7 +103,7 @@ def parse_presentation(text: str) -> Presentation:
             if len(sides) != 2:
                 raise ParseError(
                     f"relation needs exactly one `=`: {chunk.strip()!r}", line=lineno,
-                    column=offset + 1,
+                    column=offset + len(chunk) - len(chunk.lstrip()) + 1,
                 )
             lhs = _parse_word(sides[0], gens, lineno, offset)
             rhs = _parse_word(sides[1], gens, lineno, offset + len(sides[0]) + 1)
@@ -125,20 +126,13 @@ def _mask(subset) -> int:
     return sum(1 << i for i in subset)
 
 
-def _check_generator_count(k: int, cap: int) -> None:
-    if k < 0:
-        raise CapExceeded("generator count must be nonnegative")
-    if k > cap:
-        raise CapExceeded(f"{k} generators exceeds the cap of {cap}")
-
-
 def _subset_name(names, subset) -> str:
     return "{" + ",".join(names[i] for i in subset) + "}"
 
 
-def free_semilattice(k: int, names=None, cap: int = SUBSET_CAP) -> JoinSemilattice:
+def free_semilattice(k: int, names=None) -> JoinSemilattice:
     """Subsets of k generators under union; identity is the empty set."""
-    _check_generator_count(k, cap)
+    enforce_cap("generator count", k)
     if names is None:
         names = tuple(f"g{i + 1}" for i in range(k))
     subsets = subsets_in_order(k)
@@ -167,8 +161,8 @@ def _horn_closure(x: int, rules) -> int:
         x = y
 
 
-def sl_of_presentation(P: Presentation, cap: int = SUBSET_CAP,
-                       max_size: int | None = None) -> tuple[JoinSemilattice, tuple[int, ...]]:
+def sl_of_presentation(P: Presentation,
+                       cap: int = SUBSET_CAP) -> tuple[JoinSemilattice, tuple[int, ...]]:
     """Reflection of the presented monoid, plus the images of the generators.
 
     Two generator sets are identified when they have the same closure under
@@ -177,12 +171,11 @@ def sl_of_presentation(P: Presentation, cap: int = SUBSET_CAP,
     the order of `subsets_in_order`, each represented by its first subset;
     this is the quotient of the free semilattice by the relations' supports,
     with its element order and names, computed in O(2^k k r) without the 4^k
-    free table.  Raises CapExceeded when k exceeds `cap` or the reflection
-    has more than `max_size` elements; the size check comes before any
-    |L| x |L| table is built.
+    free table.  Raises CapExceeded when k or the reflection's size exceeds
+    `cap`; the size check comes before any |L| x |L| table is built.
     """
     k = len(P.generators)
-    _check_generator_count(k, cap)
+    enforce_cap("generator count", k, cap)
     rules = set()
     for u, v in P.relations:
         a, b = _mask(support(u)), _mask(support(v))
@@ -209,8 +202,7 @@ def sl_of_presentation(P: Presentation, cap: int = SUBSET_CAP,
             reps.append(x)
             rep_subsets.append(s)
         class_of[x] = numbered[c]
-    if max_size is not None and len(reps) > max_size:
-        raise CapExceeded(f"reflection size {len(reps)} exceeds the cap of {max_size}")
+    enforce_cap("reflection size", len(reps), cap)
     # congruence: X and its representative stay together after adding any
     # generator, hence after adding any set (singletons generate the union)
     bits = [1 << g for g in range(k)]

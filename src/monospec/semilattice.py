@@ -117,14 +117,13 @@ def is_meet_morphism(f: MonotoneMap) -> bool:
     )
 
 
-def right_adjoint(f: MonotoneMap, must_be_join_morphism: bool = True) -> MonotoneMap:
+def right_adjoint(f: MonotoneMap) -> MonotoneMap:
     """The map y -> Max{x | f(x) <= y}, characterized by f(x) <= y iff x <= g(y).
 
-    With the flag set, f is checked to preserve joins and the least element,
-    which guarantees every Max exists.  With the flag unset the pointwise
-    criterion is still attempted and the exact failing y is reported.
+    f is checked to preserve joins and the least element, which guarantees
+    every Max exists.
     """
-    if must_be_join_morphism and not is_join_morphism(f):
+    if not is_join_morphism(f):
         raise ValidationError("map does not preserve joins and the least element")
     src, tgt = f.source, f.target
     images = []

@@ -17,6 +17,7 @@ from .core import (
     SUBSET_CAP,
     FiniteMonoid,
     MonoidMap,
+    enforce_cap,
     is_hom,
     is_submonoid,
     monoid_homs,
@@ -25,7 +26,7 @@ from .core import (
     submonoid_as_monoid,
     units,
 )
-from .errors import CapExceeded, HypothesisError, IntegrityError, ValidationError
+from .errors import HypothesisError, IntegrityError, ValidationError
 from .presentation import Presentation, sl_of_presentation
 from .semilattice import (
     JoinSemilattice,
@@ -74,8 +75,7 @@ def build_spectrum(M: FiniteMonoid, points) -> Spectrum:
 def primes_bruteforce(M: FiniteMonoid, cap: int = SUBSET_CAP) -> Spectrum:
     """Scan all subsets (identity excluded up front) for the prime laws."""
     n = M.size
-    if n > cap:
-        raise CapExceeded(f"size {n} exceeds the subset-enumeration cap of {cap}")
+    enforce_cap("size", n, cap)
     rowmask = [0] * n
     for a in range(n):
         m = 0
@@ -135,8 +135,7 @@ def beta(L: JoinSemilattice, members) -> int:
 def spec_monoid(M: FiniteMonoid, cap: int = SUBSET_CAP) -> Spectrum:
     """Spec via the reduction route: reflect, enumerate downset complements, pull back."""
     L, q = sl_reflection(M)
-    if L.size > cap:
-        raise CapExceeded(f"reflection size {L.size} exceeds the cap of {cap}")
+    enforce_cap("reflection size", L.size, cap)
     points = []
     for a in L.elements():
         pa = alpha(L, a)
@@ -149,10 +148,10 @@ def spec_presentation(P: Presentation, cap: int = SUBSET_CAP):
 
     Returns (L, gen_images, spectrum of L, supports) where each support is the
     frozenset of generator indices whose principal ideals the prime contains.
-    Raises CapExceeded, as `spec_monoid` does, when L has more than `cap`
-    elements.
+    Raises CapExceeded when P has more than `cap` generators or L more than
+    `cap` elements.
     """
-    L, gen_images = sl_of_presentation(P, cap=cap, max_size=cap)
+    L, gen_images = sl_of_presentation(P, cap)
     S = build_spectrum(L.monoid, [alpha(L, a) for a in L.elements()])
     supports = tuple(
         frozenset(i for i, g in enumerate(gen_images) if g in p) for p in S.points
@@ -213,10 +212,9 @@ def _hom_monoid(homs: list[MonoidMap]) -> tuple[FiniteMonoid, dict[tuple[int, ..
     return M, index
 
 
-def ev_check(M: FiniteMonoid, cap: int = SUBSET_CAP) -> bool:
+def ev_check(M: FiniteMonoid) -> bool:
     """Double-dual check for idempotent monoids: ev is a monoid isomorphism."""
-    if M.size > cap:
-        raise CapExceeded(f"size {M.size} exceeds the cap of {cap}")
+    enforce_cap("size", M.size)
     homs1 = monoid_homs(M, sierpinski())
     H1, _ = _hom_monoid(homs1)
     homs2 = monoid_homs(H1, sierpinski())
@@ -232,12 +230,12 @@ def ev_check(M: FiniteMonoid, cap: int = SUBSET_CAP) -> bool:
     return is_hom(MonoidMap(M, H2, tuple(ev_images)))
 
 
-def spec_spec_check(L: JoinSemilattice, cap: int = SUBSET_CAP) -> bool:
+def spec_spec_check(L: JoinSemilattice) -> bool:
     """The double application of alpha is a semilattice isomorphism."""
-    S = primes_bruteforce(L.monoid, cap=cap)
+    S = primes_bruteforce(L.monoid)
     SM = spectrum_monoid(S)
     LS = from_monoid(SM)
-    SS = primes_bruteforce(SM, cap=cap)
+    SS = primes_bruteforce(SM)
     point1 = {p: i for i, p in enumerate(S.points)}
     point2 = {p: i for i, p in enumerate(SS.points)}
 
@@ -260,13 +258,13 @@ def spec_spec_check(L: JoinSemilattice, cap: int = SUBSET_CAP) -> bool:
     return True
 
 
-def spec_cubed_check(M: FiniteMonoid, cap: int = SUBSET_CAP) -> bool:
+def spec_cubed_check(M: FiniteMonoid) -> bool:
     """|Spec^3(M)| = |Spec(M)| with the natural bijection, via the union monoid."""
-    S = spec_monoid(M, cap=cap)
-    return spec_spec_check(from_monoid(spectrum_monoid(S)), cap=cap)
+    S = spec_monoid(M)
+    return spec_spec_check(from_monoid(spectrum_monoid(S)))
 
 
-def power_submonoid_check(A: FiniteMonoid, B, cap: int = SUBSET_CAP) -> bool:
+def power_submonoid_check(A: FiniteMonoid, B) -> bool:
     """Restriction of primes is a bijection Spec(A) -> Spec(B).
 
     Requires B to be a submonoid with some power of every element of A inside
@@ -284,8 +282,8 @@ def power_submonoid_check(A: FiniteMonoid, B, cap: int = SUBSET_CAP) -> bool:
         else:
             raise HypothesisError(f"no power of element {a} lies in B")
     Bmon, local = submonoid_as_monoid(A, B)
-    spec_a = primes_bruteforce(A, cap=cap)
-    spec_b = primes_bruteforce(Bmon, cap=cap)
+    spec_a = primes_bruteforce(A)
+    spec_b = primes_bruteforce(Bmon)
     restricted = [frozenset(local[x] for x in p if x in B) for p in spec_a.points]
     if len(set(restricted)) != len(spec_a.points):
         return False

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SUBSET_CAP, FiniteMonoid, monoid_homs, sierpinski
-from .errors import CapExceeded, ValidationError
+from .core import SUBSET_CAP, FiniteMonoid, enforce_cap, monoid_homs, sierpinski
+from .errors import ValidationError
 from .semilattice import JoinSemilattice
 from .spectrum import (
     Spectrum,
@@ -70,8 +70,7 @@ def spec_topology(M: FiniteMonoid, S: Spectrum) -> FiniteTopology:
 def ideal_opens(L: JoinSemilattice, cap: int = SUBSET_CAP) -> FiniteTopology:
     """Opens are the monoid ideals of L, i.e. the upward-closed subsets."""
     n = L.size
-    if n > cap:
-        raise CapExceeded(f"size {n} exceeds the subset-enumeration cap of {cap}")
+    enforce_cap("size", n, cap)
     opens = []
     for mask in range(1 << n):
         members = [x for x in range(n) if (mask >> x) & 1]
@@ -130,9 +129,9 @@ def union_continuous(S: Spectrum, T: FiniteTopology) -> bool:
     return True
 
 
-def theta_homeo_check(M: FiniteMonoid, cap: int = SUBSET_CAP) -> bool:
+def theta_homeo_check(M: FiniteMonoid) -> bool:
     """The hom/prime correspondence is a homeomorphism for the two topologies."""
-    S = primes_bruteforce(M, cap=cap)
+    S = primes_bruteforce(M)
     homs = monoid_homs(M, sierpinski())
     if len(homs) != len(S.points):
         return False
@@ -145,14 +144,14 @@ def theta_homeo_check(M: FiniteMonoid, cap: int = SUBSET_CAP) -> bool:
     return is_homeomorphism(bijection, T1, T2)
 
 
-def alpha_opens_check(L: JoinSemilattice, cap: int = SUBSET_CAP) -> bool:
+def alpha_opens_check(L: JoinSemilattice) -> bool:
     """Downset-complement map carries the ideal topology onto the spectral one."""
     from .spectrum import alpha
 
-    S = primes_bruteforce(L.monoid, cap=cap)
+    S = primes_bruteforce(L.monoid)
     point_index = {p: i for i, p in enumerate(S.points)}
     amap = [point_index[alpha(L, a)] for a in L.elements()]
-    T_ideal = ideal_opens(L, cap=cap)
+    T_ideal = ideal_opens(L)
     T_spec = spec_topology(L.monoid, S)
     images = set(frozenset(amap[a] for a in o) for o in T_ideal.opens)
     return images == set(T_spec.opens)

@@ -48,13 +48,14 @@ def test_spec_z2(files, capsys):
 
 
 def test_spec_cap_exceeded(files, capsys):
-    assert main(["spec", "--via", "brute", "--cap", "1", str(files / "i.mon")]) == 1
-    assert "cap" in capsys.readouterr().err
-    for argv in (["spec", "--via", "hom", "--cap", "1", str(files / "i.mon")],
+    for argv in (["spec", "--via", "brute", "--cap", "1", str(files / "i.mon")],
+                 ["spec", "--via", "hom", "--cap", "1", str(files / "i.mon")],
+                 ["spec", "--via", "alpha", "--cap", "1", str(files / "i.mon")],
                  ["spec", "--via", "hom", "--cap", "2", str(DATA / "xy.pres")],
-                 ["spec", "--via", "alpha", "--cap", "2", str(DATA / "xy.pres")]):
+                 ["spec", "--via", "alpha", "--cap", "2", str(DATA / "xy.pres")],
+                 ["spec", "--via", "alpha", "--cap", "1", str(DATA / "xy.pres")]):
         assert main(argv) == 1
-        assert "exceeds the cap" in capsys.readouterr().err
+        assert "exceeds the cap of" in capsys.readouterr().err
     # the free reflection on 12 generators (4096 elements) is refused at the
     # default cap before its 4096 x 4096 table is built
     twelve = files / "twelve.pres"
@@ -79,14 +80,18 @@ def test_reflection_commands_cap_presentations(files, capsys):
 def test_parse_error_exit_code(files, capsys):
     assert main(["spec", str(files / "bad.mon")]) == 1
     assert "error" in capsys.readouterr().err
-    # bad flags and unknown routes are input errors too, never exit 2
-    for argv in (["spec", "--bogus", str(files / "i.mon")],
+    # bad flags, unknown routes, a directory and a file that is not UTF-8
+    # are input errors too, never exit 2 or a traceback
+    (files / "latin1.mon").write_bytes(b"elements: \xe9\nidentity: \xe9\ntable:\n\xe9\n")
+    for argv in (["spec", "--kind", "mon", str(files)],
+                 ["spec", str(files / "latin1.mon")],
+                 ["spec", "--bogus", str(files / "i.mon")],
                  ["verify", "--seed", "x"],
                  ["spec", "--via", "brute,bogus", str(files / "i.mon")],
                  ["spec", "--via", "bogus", str(files / "i.mon")]):
         assert main(argv) == 1
         captured = capsys.readouterr()
-        assert "error" in captured.err and captured.out == ""
+        assert "error:" in captured.err and captured.out == ""
 
 
 def test_unknown_extension(files, tmp_path, capsys):

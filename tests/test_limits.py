@@ -1,8 +1,10 @@
+from time import perf_counter
+
 import pytest
 
 from monospec.core import sierpinski, submonoid_closure, validate_monoid
 from monospec.corpus import chain_semilattice, corpus_submonoid_chains
-from monospec.errors import ValidationError
+from monospec.errors import CapExceeded, ValidationError
 from monospec import limits
 from monospec.limits import (
     colimit_of_submonoid_chain,
@@ -100,6 +102,11 @@ def test_profinite_system_relates_covers():
 
 def test_profinite_free_semilattice_4():
     assert profinite_check(free_semilattice(4))
+    # 32 elements: refused before the 2^31-mask subsemilattice scan
+    start = perf_counter()
+    with pytest.raises(CapExceeded, match="size 32 exceeds the cap of 16"):
+        profinite_check(free_semilattice(5))
+    assert perf_counter() - start < 0.5
 
 
 def test_wrong_transition_is_caught(monkeypatch):

@@ -51,12 +51,21 @@ def test_parse_errors_carry_location():
         parse_presentation("gens: x\nrels: x x")
 
 
+def test_parse_error_columns_count_leading_spaces():
+    for rels, column in (("rels: x = y", 11), ("rels: y = x", 7),
+                         ("rels:    x = x;   y = x", 19), ("rels: x = x^-1", 13),
+                         ("rels: x = x;  x x", 15)):
+        with pytest.raises(ParseError) as info:
+            parse_presentation("gens: x\n" + rels)
+        assert info.value.column == column, rels
+
+
 def test_free_semilattice_small():
     assert free_semilattice(1).monoid.table == sierpinski().table
     assert free_semilattice(0).size == 1
     F = free_semilattice(2)
     assert F.size == 4 and is_idempotent(F.monoid)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="generator count 20 exceeds the cap of 16"):
         free_semilattice(20)
     for k in range(5):
         subsets = subsets_in_order(k)
@@ -97,7 +106,7 @@ def test_sl_of_presentation_equals_free_quotient():
                       tuple(rng.choice((0, 0, 1, 3)) for _ in range(k)))
                      for _ in range(rng.randint(0, k + 2)))
         P = Presentation(tuple(f"g{i}" for i in range(k)), rels)
-        L, gens = sl_of_presentation(P)
+        L, gens = sl_of_presentation(P, cap=1 << 7)
         Q, ref_gens = free_quotient(P)
         assert L.monoid == Q, P
         assert L.leq == from_monoid(Q).leq, P

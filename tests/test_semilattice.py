@@ -82,14 +82,12 @@ def test_right_adjoint_cases():
     assert right_adjoint(to_point).images == (2,)
 
 
-def test_right_adjoint_flag_unset_reports_failure():
+def test_right_adjoint_rejects_non_join_morphism():
     # the map hitting only top of the 3-chain is monotone but not a join
     # morphism; nothing maps below the middle element
     f = monotone_map(two_chain(), three_chain(), [2, 2])
     with pytest.raises(ValidationError, match="join"):
         right_adjoint(f)
-    with pytest.raises(ValidationError, match="no greatest element"):
-        right_adjoint(f, must_be_join_morphism=False)
 
 
 def test_left_adjoint_round_trip():
