@@ -130,9 +130,13 @@ def _subset_name(names, subset) -> str:
     return "{" + ",".join(names[i] for i in subset) + "}"
 
 
-def free_semilattice(k: int, names=None) -> JoinSemilattice:
-    """Subsets of k generators under union; identity is the empty set."""
-    enforce_cap("generator count", k)
+def free_semilattice(k: int, names=None, cap: int = SUBSET_CAP) -> JoinSemilattice:
+    """Subsets of k generators under union; identity is the empty set.
+
+    Raises CapExceeded when its 2^k elements exceed `cap`, before the 4^k
+    table is built.
+    """
+    enforce_cap("size", 1 << k, cap)
     if names is None:
         names = tuple(f"g{i + 1}" for i in range(k))
     subsets = subsets_in_order(k)

@@ -9,8 +9,11 @@ downset-complement bijection on the idempotent reflection.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
+from operator import eq
 
 from .congruence import sl_reflection
 from .core import (
@@ -73,25 +76,30 @@ def build_spectrum(M: FiniteMonoid, points) -> Spectrum:
 
 
 def primes_bruteforce(M: FiniteMonoid, cap: int = SUBSET_CAP) -> Spectrum:
-    """Scan all subsets (identity excluded up front) for the prime laws."""
+    """Scan all subsets (identity excluded up front) for the prime laws.
+
+    The ideal generated by every identity-free mask is tabulated first:
+    closure[h] is the ideal of the mask 2h, doubled one element at a time
+    (closure[h | 2^(x-1)] = closure[h] | rowmask[x]) in an `array`, about
+    2^(n+1) bytes.  A mask lies in its own closure (x*1 = x), so it is an
+    ideal exactly when it equals its closure; only ideals get the
+    complement test.
+    """
     n = M.size
-    enforce_cap("size", n, cap)
+    enforce_cap("size", n, min(cap, 64))  # a closure entry is at most 64 bits
     rowmask = [0] * n
     for a in range(n):
         m = 0
         for x in range(n):
             m |= 1 << M.table[a][x]
         rowmask[a] = m
+    typecode = "I" if n <= 32 else "Q"
+    closure = array(typecode, [0])
+    for x in range(1, n):
+        closure.extend(array(typecode, map(rowmask[x].__or__, closure)))
+    evens = range(0, 1 << n, 2)  # bit 0 (the identity) always clear
     points = []
-    for mask in range(0, 1 << n, 2):  # bit 0 (the identity) always clear
-        closure = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            closure |= rowmask[low.bit_length() - 1]
-            rest ^= low
-        if closure & ~mask:
-            continue
+    for mask in compress(evens, map(eq, closure, evens)):
         comp = [x for x in range(n) if not (mask >> x) & 1]
         ok = True
         for i, a in enumerate(comp):

@@ -1,5 +1,10 @@
+from dataclasses import replace
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 
+from monospec import cli, verify
 from monospec.congruence import sl_reflection
 from monospec.core import MonoidMap, monoid_homs, sierpinski, validate_monoid
 from monospec.corpus import chain_semilattice, corpus_monoids, cyclic_monoid
@@ -37,9 +42,59 @@ def test_primes_bruteforce_examples():
     assert len(primes_bruteforce(free_semilattice(2).monoid).points) == 4
 
 
+def _primes_by_definition(M):
+    """Every subset tested against the prime laws, on frozensets."""
+    elements = frozenset(M.elements())
+    primes = []
+    for r in range(M.size + 1):
+        for P in map(frozenset, combinations(M.elements(), r)):
+            C = elements - P
+            if (P != elements
+                    and all(M.mul(x, p) in P for p in P for x in elements)
+                    and 0 in C
+                    and all(M.mul(a, b) in C for a in C for b in C)):
+                primes.append(P)
+    return primes
+
+
+def test_primes_bruteforce_matches_definition():
+    monoids = [M for s in range(3) for M in corpus_monoids(s, 150, 10)] + [
+        validate_monoid([[0]]), free_semilattice(4).monoid, chain_semilattice(12).monoid,
+    ]
+    for M in monoids:
+        expected = sorted(_primes_by_definition(M), key=canonical_key)
+        assert list(primes_bruteforce(M).points) == expected, M.table
+    assert primes_bruteforce(validate_monoid([[0]])).points == (frozenset(),)
+
+
+def _drop_last_point(monkeypatch, module):
+    valid = module.primes_bruteforce
+
+    def faulty(M, *args, **kwargs):
+        S = valid(M, *args, **kwargs)
+        return replace(S, points=S.points[:-1])
+
+    monkeypatch.setattr(module, "primes_bruteforce", faulty)
+
+
+def test_brute_fault_is_caught(monkeypatch, capsys):
+    """A brute route missing one prime makes the route cross-checks fail."""
+    _drop_last_point(monkeypatch, cli)
+    data = Path(__file__).resolve().parent.parent / "data"
+    assert cli.main(["spec", "--via", "all", str(data / "i.mon")]) == 2
+    assert "routes agree: NO" in capsys.readouterr().out
+    _drop_last_point(monkeypatch, verify)
+    _, fails, _ = verify.check_three_routes(corpus_monoids(0, 20, 6), [])
+    assert fails >= 1
+
+
 def test_bruteforce_cap():
     with pytest.raises(CapExceeded, match="size 4 exceeds the cap of 3"):
         primes_bruteforce(free_semilattice(2).monoid, cap=3)
+    # a raised cap: a 2 MB closure table; past 64 bits no closure entry fits
+    assert len(primes_bruteforce(chain_semilattice(20).monoid, cap=20).points) == 20
+    with pytest.raises(CapExceeded, match="size 65 exceeds the cap of 64"):
+        primes_bruteforce(chain_semilattice(65).monoid, cap=100)
 
 
 def test_homs_to_I_counts():
