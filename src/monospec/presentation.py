@@ -130,13 +130,13 @@ def _subset_name(names, subset) -> str:
     return "{" + ",".join(names[i] for i in subset) + "}"
 
 
-def free_semilattice(k: int, names=None, cap: int = SUBSET_CAP) -> JoinSemilattice:
+def free_semilattice(k: int, names=None) -> JoinSemilattice:
     """Subsets of k generators under union; identity is the empty set.
 
-    Raises CapExceeded when its 2^k elements exceed `cap`, before the 4^k
-    table is built.
+    Up to 7 generators: CapExceeded when its 2^k elements exceed 128, before
+    the 4^k table (2^14 cells at k = 7) is built.
     """
-    enforce_cap("size", 1 << k, cap)
+    enforce_cap("size", 1 << k, 1 << 7)
     if names is None:
         names = tuple(f"g{i + 1}" for i in range(k))
     subsets = subsets_in_order(k)

@@ -80,23 +80,22 @@ def primes_bruteforce(M: FiniteMonoid, cap: int = SUBSET_CAP) -> Spectrum:
 
     The ideal generated by every identity-free mask is tabulated first:
     closure[h] is the ideal of the mask 2h, doubled one element at a time
-    (closure[h | 2^(x-1)] = closure[h] | rowmask[x]) in an `array`, about
-    2^(n+1) bytes.  A mask lies in its own closure (x*1 = x), so it is an
+    (closure[h | 2^(x-1)] = closure[h] | rowmask[x]) in an `array` of 32-bit
+    entries, about 2^(n+1) bytes, so at most 32 elements whatever the cap.  A mask lies in its own closure (x*1 = x), so it is an
     ideal exactly when it equals its closure; only ideals get the
     complement test.
     """
     n = M.size
-    enforce_cap("size", n, min(cap, 64))  # a closure entry is at most 64 bits
+    enforce_cap("size", n, min(cap, 32))  # a closure entry is at most 32 bits
     rowmask = [0] * n
     for a in range(n):
         m = 0
         for x in range(n):
             m |= 1 << M.table[a][x]
         rowmask[a] = m
-    typecode = "I" if n <= 32 else "Q"
-    closure = array(typecode, [0])
+    closure = array("I", [0])
     for x in range(1, n):
-        closure.extend(array(typecode, map(rowmask[x].__or__, closure)))
+        closure.extend(array("I", map(rowmask[x].__or__, closure)))
     evens = range(0, 1 << n, 2)  # bit 0 (the identity) always clear
     points = []
     for mask in compress(evens, map(eq, closure, evens)):

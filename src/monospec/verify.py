@@ -79,10 +79,10 @@ def free_quotient(P):
     The quotient of the free semilattice on the generators by the congruence
     closure of the relations' supports: O(4^k), independent of the closure
     classes `sl_of_presentation` computes.  Up to 7 generators (the corpus
-    has at most 6), a 2^14-cell table.
+    has at most 6), as `free_semilattice` allows.
     """
     k = len(P.generators)
-    F = free_semilattice(k, names=P.generators, cap=1 << 7)
+    F = free_semilattice(k, names=P.generators)
     index = {s: i for i, s in enumerate(subsets_in_order(k))}
     C = congruence_closure(F.monoid, [(index[support(u)], index[support(v)])
                                       for u, v in P.relations])

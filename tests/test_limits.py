@@ -105,7 +105,7 @@ def test_profinite_free_semilattice_4():
     # 32 elements: refused before the 2^31-mask subsemilattice scan
     start = perf_counter()
     with pytest.raises(CapExceeded, match="size 32 exceeds the cap of 16"):
-        profinite_check(free_semilattice(5, cap=32))
+        profinite_check(free_semilattice(5))
     assert perf_counter() - start < 0.5
 
 

@@ -65,7 +65,7 @@ def test_free_semilattice_small():
     assert free_semilattice(0).size == 1
     F = free_semilattice(2)
     assert F.size == 4 and is_idempotent(F.monoid)
-    with pytest.raises(CapExceeded, match="size 1048576 exceeds the cap of 16"):
+    with pytest.raises(CapExceeded, match="size 1048576 exceeds the cap of 128"):
         free_semilattice(20)
     for k in range(5):
         subsets = subsets_in_order(k)

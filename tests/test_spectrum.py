@@ -91,10 +91,10 @@ def test_brute_fault_is_caught(monkeypatch, capsys):
 def test_bruteforce_cap():
     with pytest.raises(CapExceeded, match="size 4 exceeds the cap of 3"):
         primes_bruteforce(free_semilattice(2).monoid, cap=3)
-    # a raised cap: a 2 MB closure table; past 64 bits no closure entry fits
+    # a raised cap: a 2 MB closure table; past 32 bits no closure entry fits
     assert len(primes_bruteforce(chain_semilattice(20).monoid, cap=20).points) == 20
-    with pytest.raises(CapExceeded, match="size 65 exceeds the cap of 64"):
-        primes_bruteforce(chain_semilattice(65).monoid, cap=100)
+    with pytest.raises(CapExceeded, match="size 33 exceeds the cap of 32"):
+        primes_bruteforce(chain_semilattice(33).monoid, cap=100)
 
 
 def test_homs_to_I_counts():
