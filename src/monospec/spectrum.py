@@ -9,11 +9,8 @@ downset-complement bijection on the idempotent reflection.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
-from operator import eq
 
 from .congruence import sl_reflection
 from .core import (
@@ -78,36 +75,40 @@ def build_spectrum(M: FiniteMonoid, points) -> Spectrum:
 def primes_bruteforce(M: FiniteMonoid, cap: int = SUBSET_CAP) -> Spectrum:
     """Scan all subsets (identity excluded up front) for the prime laws.
 
-    The ideal generated by every identity-free mask is tabulated first:
-    closure[h] is the ideal of the mask 2h, doubled one element at a time
-    (closure[h | 2^(x-1)] = closure[h] | rowmask[x]) in an `array` of 32-bit
-    entries, about 2^(n+1) bytes, so at most 32 elements whatever the cap.  A mask lies in its own closure (x*1 = x), so it is an
-    ideal exactly when it equals its closure; only ideals get the
-    complement test.
+    The scan is bit-sliced: the identity-free mask 2h is bit h of a
+    2^(n-1)-bit lane, and lane P[x] has bit h set when mask 2h contains x.
+    Each instance of a prime law is one bitwise expression over whole lanes,
+    so every mask is tested at once: the masks that break the ideal law
+    (a in the mask, a*x not) or the submonoid law on the complement (a and
+    b outside, a*b inside) are ORed into `bad`, and the rest are the primes,
+    read off the top bit down.
     """
     n = M.size
-    enforce_cap("size", n, min(cap, 32))  # a closure entry is at most 32 bits
-    rowmask = [0] * n
-    for a in range(n):
-        m = 0
-        for x in range(n):
-            m |= 1 << M.table[a][x]
-        rowmask[a] = m
-    closure = array("I", [0])
+    # 2n lanes of 2^(n-1) bits take n * 2^(n-3) bytes: 16 GB at 32 elements
+    enforce_cap("size", n, min(cap, 32))
+    width = 1 << (n - 1)
+    full = (1 << width) - 1
+    P = [0] * n  # P[0] stays 0: no mask holds the identity
     for x in range(1, n):
-        closure.extend(array("I", map(rowmask[x].__or__, closure)))
-    evens = range(0, 1 << n, 2)  # bit 0 (the identity) always clear
+        run = 1 << (x - 1)  # runs of 2^(x-1) zeros, then as many ones
+        lane, span = ((1 << run) - 1) << run, 2 * run
+        while span < width:
+            lane |= lane << span
+            span *= 2
+        P[x] = lane
+    NP = [full ^ lane for lane in P]
+    table = M.table
+    bad = 0
+    for a, v in {(a, v) for a in range(1, n) for v in table[a] if v != a}:
+        bad |= P[a] & NP[v]
+    for a, b, p in {(a, b, table[a][b]) for a in range(1, n) for b in range(a, n) if table[a][b]}:
+        bad |= NP[a] & NP[b] & P[p]
+    survivors = full ^ bad
     points = []
-    for mask in compress(evens, map(eq, closure, evens)):
-        comp = [x for x in range(n) if not (mask >> x) & 1]
-        ok = True
-        for i, a in enumerate(comp):
-            row = M.table[a]
-            if any((mask >> row[b]) & 1 for b in comp[i:]):
-                ok = False
-                break
-        if ok:
-            points.append(frozenset(x for x in range(n) if (mask >> x) & 1))
+    while survivors:  # one prime per element of the reflection, so at most n
+        h = survivors.bit_length() - 1
+        survivors ^= 1 << h
+        points.append(frozenset(x for x in range(1, n) if (h >> (x - 1)) & 1))
     return build_spectrum(M, points)
 
 

@@ -136,8 +136,8 @@ def theta_homeo_check(M: FiniteMonoid) -> bool:
     if len(homs) != len(S.points):
         return False
     point_index = {p: i for i, p in enumerate(S.points)}
-    bijection = [point_index[theta(h)] for h in homs]
-    if sorted(bijection) != list(range(len(S.points))):
+    bijection = [point_index.get(theta(h)) for h in homs]
+    if None in bijection or sorted(bijection) != list(range(len(S.points))):
         return False
     T1 = product_topology_on_homs(M, homs)
     T2 = spec_topology(M, S)
@@ -150,7 +150,9 @@ def alpha_opens_check(L: JoinSemilattice) -> bool:
 
     S = primes_bruteforce(L.monoid)
     point_index = {p: i for i, p in enumerate(S.points)}
-    amap = [point_index[alpha(L, a)] for a in L.elements()]
+    amap = [point_index.get(alpha(L, a)) for a in L.elements()]
+    if None in amap:
+        return False
     T_ideal = ideal_opens(L)
     T_spec = spec_topology(L.monoid, S)
     images = set(frozenset(amap[a] for a in o) for o in T_ideal.opens)

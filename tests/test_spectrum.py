@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from monospec import cli, verify
+from monospec import cli, topology, verify
 from monospec.congruence import sl_reflection
-from monospec.core import MonoidMap, monoid_homs, sierpinski, validate_monoid
-from monospec.corpus import chain_semilattice, corpus_monoids, cyclic_monoid
+from monospec.core import MonoidMap, direct_product, monoid_homs, sierpinski, validate_monoid
+from monospec.corpus import chain_semilattice, corpus_monoids, cyclic_group, cyclic_monoid
 from monospec.errors import CapExceeded, HypothesisError
 from monospec.presentation import free_semilattice, parse_presentation
 from monospec.semilattice import from_monoid
@@ -60,11 +60,18 @@ def _primes_by_definition(M):
 def test_primes_bruteforce_matches_definition():
     monoids = [M for s in range(3) for M in corpus_monoids(s, 150, 10)] + [
         validate_monoid([[0]]), free_semilattice(4).monoid, chain_semilattice(12).monoid,
+        # lanes of 2, 4 and 256 bits: shorter and longer than one 30-bit int digit
+        sierpinski(), z2(), chain_semilattice(3).monoid, cyclic_group(3), cyclic_monoid(1, 2),
+        direct_product(cyclic_group(3), chain_semilattice(3).monoid),
     ]
     for M in monoids:
         expected = sorted(_primes_by_definition(M), key=canonical_key)
         assert list(primes_bruteforce(M).points) == expected, M.table
     assert primes_bruteforce(validate_monoid([[0]])).points == (frozenset(),)
+    # 2^16-bit lanes: the primes of a chain under max are its proper upsets
+    chain17 = primes_bruteforce(chain_semilattice(17).monoid, cap=17)
+    assert len(chain17.points) == 17
+    assert chain17.points == tuple(frozenset(range(k, 17)) for k in range(17, 0, -1))
 
 
 def _drop_last_point(monkeypatch, module):
@@ -88,10 +95,32 @@ def test_brute_fault_is_caught(monkeypatch, capsys):
     assert fails >= 1
 
 
+def test_brute_fault_fails_topology_checks(monkeypatch):
+    """A missing or swapped prime makes the topology checks fail, not raise."""
+    L = free_semilattice(2)
+    _drop_last_point(monkeypatch, topology)
+    assert topology.alpha_opens_check(L) is False
+    _, fails, _ = verify.check_alpha_suite([L])
+    assert fails == 1
+
+    valid = verify.primes_bruteforce
+
+    def swapped(M, *args, **kwargs):
+        S = valid(M, *args, **kwargs)
+        return replace(S, points=S.points[:-1] + (S.points[-1] | {0},))
+
+    monkeypatch.setattr(topology, "primes_bruteforce", swapped)
+    M = L.monoid
+    assert len(topology.primes_bruteforce(M).points) == len(valid(M).points)
+    assert topology.theta_homeo_check(M) is False
+    _, fails, _ = verify.check_theta([M])
+    assert fails == 1
+
+
 def test_bruteforce_cap():
     with pytest.raises(CapExceeded, match="size 4 exceeds the cap of 3"):
         primes_bruteforce(free_semilattice(2).monoid, cap=3)
-    # a raised cap: a 2 MB closure table; past 32 bits no closure entry fits
+    # a raised cap: 2.5 MB of lanes; past 32 elements they would take over 16 GB
     assert len(primes_bruteforce(chain_semilattice(20).monoid, cap=20).points) == 20
     with pytest.raises(CapExceeded, match="size 33 exceeds the cap of 32"):
         primes_bruteforce(chain_semilattice(33).monoid, cap=100)
