@@ -28,7 +28,6 @@ from .semilattice import (
     JoinSemilattice,
     MonotoneMap,
     check_adjunction,
-    downset,
     from_monoid,
     left_adjoint,
     meet,

@@ -188,10 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Exact spectra of commutative monoids")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="input file (.mon table or .pres presentation)")
-            p.add_argument("--kind", choices=["mon", "pres"], help="override extension inference")
+    def add_common(p):
+        p.add_argument("input", help="input file (.mon table or .pres presentation)")
+        p.add_argument("--kind", choices=["mon", "pres"], help="override extension inference")
         p.add_argument("--cap", type=int, default=SUBSET_CAP, help="size cap for enumerations")
 
     p = sub.add_parser("spec", help="compute the prime spectrum")

@@ -209,34 +209,25 @@ def is_hom(f: MonoidMap) -> bool:
     return all(im[src[a][b]] == tgt[im[a]][im[b]] for a in range(n) for b in range(a, n))
 
 
-def compose_homs(f: MonoidMap, g: MonoidMap) -> MonoidMap:
-    """g after f."""
-    if f.target is not g.source and f.target != g.source:
-        raise ValidationError("composition endpoints do not match")
-    return MonoidMap(f.source, g.target, tuple(g.images[x] for x in f.images))
-
-
 def monoid_homs(M: FiniteMonoid, N: FiniteMonoid, limit=None) -> list[MonoidMap]:
-    """All monoid homomorphisms M -> N by backtracking, sorted by image tuple.
+    """All monoid homomorphisms M -> N, in lexicographic order of image tuples.
 
-    `limit` stops the search early once that many homs were found.
+    The search fixes the identity's image at 0, assigns elements 1, 2, ... in
+    index order and tries their images in ascending order, so it finds the
+    homs in that order.  The constraint table `checks[e]` lists each product
+    a*b = p (a <= b) whose largest index max(b, p) is e; it is tested as soon
+    as e is assigned.  `limit` stops the search early once that many homs
+    were found.
     """
     n, m = M.size, N.size
+    tgt = N.table
+    checks = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            p = M.table[a][b]
+            checks[max(b, p)].append((a, b, p))
     images = [0] * n
     out = []
-
-    def consistent(e: int) -> bool:
-        # every product constraint whose three participants are all assigned
-        # and which involves element e
-        for a in range(e + 1):
-            p = M.table[a][e]
-            if p <= e and N.table[images[a]][images[e]] != images[p]:
-                return False
-        for a in range(e):
-            for b in range(a, e):
-                if M.table[a][b] == e and N.table[images[a]][images[b]] != images[e]:
-                    return False
-        return True
 
     def assign(e: int):
         if limit is not None and len(out) >= limit:
@@ -246,13 +237,12 @@ def monoid_homs(M: FiniteMonoid, N: FiniteMonoid, limit=None) -> list[MonoidMap]
             return
         for v in range(m):
             images[e] = v
-            if consistent(e):
+            if all(tgt[images[a]][images[b]] == images[p] for a, b, p in checks[e]):
                 assign(e + 1)
             if limit is not None and len(out) >= limit:
                 return
 
     assign(1)
-    out.sort(key=lambda h: h.images)
     return out
 
 

@@ -74,11 +74,6 @@ def meet(L: JoinSemilattice, a: int, b: int) -> int:
     return m
 
 
-def downset(L: JoinSemilattice, a: int) -> frozenset[int]:
-    """{x | x <= a}; always a subsemilattice containing the least element."""
-    return frozenset(x for x in L.elements() if L.leq[x][a])
-
-
 def monotone_map(source: JoinSemilattice, target: JoinSemilattice, images) -> MonotoneMap:
     images = tuple(images)
     if len(images) != source.size:
@@ -177,10 +172,6 @@ def compose_monotone(f: MonotoneMap, g: MonotoneMap) -> MonotoneMap:
     if f.target is not g.source and f.target != g.source:
         raise ValidationError("composition endpoints do not match")
     return MonotoneMap(f.source, g.target, tuple(g.images[x] for x in f.images))
-
-
-def identity_map(L: JoinSemilattice) -> MonotoneMap:
-    return MonotoneMap(L, L, tuple(L.elements()))
 
 
 def cover_pairs(L: JoinSemilattice) -> list[tuple[int, int]]:

@@ -180,13 +180,6 @@ def spectrum_monoid(S: Spectrum) -> FiniteMonoid:
     return FiniteMonoid(S.union_table, names)
 
 
-def induced_spec_map(f: MonoidMap, S2: Spectrum) -> tuple[frozenset[int], ...]:
-    """Preimages of the points of Spec(target) along f, aligned with S2.points."""
-    return tuple(
-        frozenset(x for x in f.source.elements() if f.images[x] in q) for q in S2.points
-    )
-
-
 def naturality_square(f: MonotoneMap) -> bool:
     """Check alpha after the right adjoint equals preimage after alpha."""
     if not is_join_morphism(f):
@@ -201,41 +194,27 @@ def naturality_square(f: MonotoneMap) -> bool:
     return True
 
 
-def _hom_monoid(homs: list[MonoidMap]) -> tuple[FiniteMonoid, dict[tuple[int, ...], int]]:
-    """The pointwise-product monoid on a complete hom set into the 2-element monoid."""
-    index = {h.images: i for i, h in enumerate(homs)}
-    table = []
-    for h in homs:
-        row = []
-        for g in homs:
-            prod = tuple(a | b for a, b in zip(h.images, g.images))
-            if prod not in index:
-                raise IntegrityError("hom set is not closed under pointwise product")
-            row.append(index[prod])
-        table.append(tuple(row))
-    names = tuple("f" + "".join(str(v) for v in h.images) for h in homs)
-    M = FiniteMonoid(tuple(table), names)
-    if table and homs[0].images != tuple([0] * len(homs[0].images)):
-        raise IntegrityError("constant-unit hom missing from hom set")
-    return M, index
-
-
 def ev_check(M: FiniteMonoid) -> bool:
-    """Double-dual check for idempotent monoids: ev is a monoid isomorphism."""
+    """Double-dual check for idempotent monoids: ev is a monoid isomorphism.
+
+    Both duals are hom sets into the two-element monoid, read as spectra; ev
+    sends m to the prime "evaluate at m" of the first dual, the set of points
+    that contain m.
+    """
     enforce_cap("size", M.size)
-    homs1 = monoid_homs(M, sierpinski())
-    H1, _ = _hom_monoid(homs1)
-    homs2 = monoid_homs(H1, sierpinski())
-    H2, index2 = _hom_monoid(homs2)
+    S1 = build_spectrum(M, map(theta, monoid_homs(M, sierpinski())))
+    H1 = spectrum_monoid(S1)
+    S2 = build_spectrum(H1, map(theta, monoid_homs(H1, sierpinski())))
+    index2 = {p: i for i, p in enumerate(S2.points)}
     ev_images = []
     for m in M.elements():
-        vec = tuple(h.images[m] for h in homs1)
-        if vec not in index2:
+        ev = frozenset(i for i, p in enumerate(S1.points) if m in p)
+        if ev not in index2:
             return False
-        ev_images.append(index2[vec])
-    if len(set(ev_images)) != M.size or M.size != len(homs2):
+        ev_images.append(index2[ev])
+    if len(set(ev_images)) != M.size or M.size != len(S2.points):
         return False
-    return is_hom(MonoidMap(M, H2, tuple(ev_images)))
+    return is_hom(MonoidMap(M, spectrum_monoid(S2), tuple(ev_images)))
 
 
 def spec_spec_check(L: JoinSemilattice) -> bool:
@@ -249,7 +228,9 @@ def spec_spec_check(L: JoinSemilattice) -> bool:
 
     composite = []
     for a in L.elements():
-        i1 = point1[alpha(L, a)]
+        i1 = point1.get(alpha(L, a))
+        if i1 is None:
+            return False
         p2 = alpha(LS, i1)
         if p2 not in point2:
             return False

@@ -1,9 +1,12 @@
 """Executable property suites and the seeded corpora the CLI runs them on.
 
-Each `check_*` takes the items it checks and returns (name, failures, total);
-the properties live only here.  `run_all` builds the corpora of the CLI
-`verify` command from a seed and runs every suite over them.  The acceptance
-tests build their own corpora and call the same `check_*` functions.
+Each `check_*` takes the items it checks and returns (name, failures, total).
+The suites gather the property checkers, some written here and others beside
+the code they check (the theta and alpha topology checks in `topology`, the
+dual checks in `spectrum`, the limit checks in `limits`), and count the
+failures.  `run_all` builds the corpora of the CLI `verify` command from a
+seed and runs every suite over them.  The acceptance tests build their own
+corpora and call the same `check_*` functions.
 """
 
 from __future__ import annotations
@@ -254,8 +257,9 @@ def check_module_invariants(monoids):
             ok = False
         # universal property at desk scale against small idempotent targets
         for X in (sierpinski(), chain3_monoid()):
-            up = {h.images for h in monoid_homs(L.monoid, X)}
-            down = {tuple(h.images[q.images[x]] for x in M.elements()) for h in monoid_homs(L.monoid, X)}
+            homs = [h.images for h in monoid_homs(L.monoid, X)]
+            up = set(homs)
+            down = {tuple(h[q.images[x]] for x in M.elements()) for h in homs}
             direct = {h.images for h in monoid_homs(M, X)}
             if len(up) != len(down) or down != direct:
                 ok = False

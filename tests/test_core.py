@@ -1,9 +1,10 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
 from monospec.core import (
     MonoidMap,
-    compose_homs,
     direct_product,
     format_monoid_table,
     is_hom,
@@ -17,6 +18,7 @@ from monospec.core import (
     units,
     validate_monoid,
 )
+from monospec.corpus import chain_semilattice, corpus_monoids, cyclic_monoid
 from monospec.errors import ParseError, ValidationError
 from monospec.presentation import free_semilattice
 
@@ -108,7 +110,21 @@ def test_hom_composition():
     F = free_semilattice(2).monoid
     for f in monoid_homs(F, I):
         for g in monoid_homs(I, I):
-            assert is_hom(compose_homs(f, g))
+            assert is_hom(MonoidMap(F, I, tuple(g.images[x] for x in f.images)))
+
+
+def test_monoid_homs_matches_definition():
+    """The homs are the maps that pass is_hom, lexicographically; limit keeps a prefix."""
+    targets = (sierpinski(), z2(), chain_semilattice(3).monoid, cyclic_monoid(1, 2))
+    for M in corpus_monoids(0, 150, 5):
+        for N in targets:
+            # product() yields the candidate image tuples in lexicographic order
+            expected = [images for images in
+                        ((0,) + rest for rest in product(range(N.size), repeat=M.size - 1))
+                        if is_hom(MonoidMap(M, N, images))]
+            assert [h.images for h in monoid_homs(M, N)] == expected
+            for k in (0, 1, len(expected) // 2, len(expected) + 1):
+                assert [h.images for h in monoid_homs(M, N, limit=k)] == expected[:k]
 
 
 @given(st.integers(1, 4).flatmap(

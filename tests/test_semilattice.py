@@ -8,9 +8,7 @@ from monospec.presentation import free_semilattice
 from monospec.semilattice import (
     check_adjunction,
     compose_monotone,
-    downset,
     from_monoid,
-    identity_map,
     is_join_morphism,
     is_meet_morphism,
     left_adjoint,
@@ -19,6 +17,7 @@ from monospec.semilattice import (
     right_adjoint,
     top,
 )
+from monospec.spectrum import alpha
 
 
 def two_chain():
@@ -61,11 +60,12 @@ def test_meet():
 
 
 def test_downset():
+    """The downset of a is the complement of alpha(L, a)."""
     L = three_chain()
-    assert downset(L, 1) == frozenset({0, 1})
-    assert downset(L, 0) == frozenset({0})
+    assert frozenset(L.elements()) - alpha(L, 1) == frozenset({0, 1})
+    assert frozenset(L.elements()) - alpha(L, 0) == frozenset({0})
     F = free_semilattice(2)
-    assert downset(F, 1) == frozenset({0, 1})
+    assert frozenset(F.elements()) - alpha(F, 1) == frozenset({0, 1})
 
 
 def chain_inclusion():
@@ -77,7 +77,8 @@ def test_right_adjoint_cases():
     f = chain_inclusion()
     g = right_adjoint(f)
     assert g.images == (0, 1, 1)
-    assert right_adjoint(identity_map(three_chain())).images == (0, 1, 2)
+    L3 = three_chain()
+    assert right_adjoint(monotone_map(L3, L3, L3.elements())).images == (0, 1, 2)
     to_point = monotone_map(three_chain(), chain_semilattice(1), [0, 0, 0])
     assert right_adjoint(to_point).images == (2,)
 
@@ -94,7 +95,8 @@ def test_left_adjoint_round_trip():
     f = chain_inclusion()
     g = right_adjoint(f)
     assert left_adjoint(g).images == f.images
-    assert left_adjoint(identity_map(two_chain())).images == (0, 1)
+    L2 = two_chain()
+    assert left_adjoint(monotone_map(L2, L2, L2.elements())).images == (0, 1)
     from_point = monotone_map(chain_semilattice(1), three_chain(), [0])
     # right adjoint of the point inclusion collapses everything to the point
     assert right_adjoint(from_point).images == (0, 0, 0)
@@ -103,7 +105,9 @@ def test_left_adjoint_round_trip():
 def test_check_adjunction():
     f = chain_inclusion()
     g = right_adjoint(f)
-    assert check_adjunction(identity_map(two_chain()), identity_map(two_chain()))
+    L2 = two_chain()
+    ident = monotone_map(L2, L2, L2.elements())
+    assert check_adjunction(ident, ident)
     assert check_adjunction(f, g)
     bad = monotone_map(g.source, g.target, (0, 0, 1))
     assert not check_adjunction(f, bad)

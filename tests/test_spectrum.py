@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from monospec import cli, topology, verify
+from monospec import cli, spectrum, topology, verify
 from monospec.congruence import sl_reflection
 from monospec.core import MonoidMap, direct_product, monoid_homs, sierpinski, validate_monoid
 from monospec.corpus import chain_semilattice, corpus_monoids, cyclic_group, cyclic_monoid
@@ -17,7 +17,6 @@ from monospec.spectrum import (
     canonical_key,
     ev_check,
     greatest_prime,
-    induced_spec_map,
     naturality_square,
     power_submonoid_check,
     primes_bruteforce,
@@ -117,6 +116,15 @@ def test_brute_fault_fails_topology_checks(monkeypatch):
     assert fails == 1
 
 
+def test_brute_fault_fails_duals_checks(monkeypatch):
+    """A missing prime makes the double-spectrum check fail, not raise."""
+    L = free_semilattice(2)
+    _drop_last_point(monkeypatch, spectrum)
+    assert spectrum.spec_spec_check(L) is False
+    _, fails, _ = verify.check_duals([L])
+    assert fails == 1
+
+
 def test_bruteforce_cap():
     with pytest.raises(CapExceeded, match="size 4 exceeds the cap of 3"):
         primes_bruteforce(free_semilattice(2).monoid, cap=3)
@@ -189,30 +197,36 @@ def test_spec_I_is_sierpinski_again():
 
 
 def test_induced_spec_map():
+    """Preimages of the points of Spec(target) along a hom are primes of the source."""
     I = sierpinski()
     S = primes_bruteforce(I)
-    assert induced_spec_map(MonoidMap(I, I, (0, 1)), S) == (frozenset(), frozenset({1}))
+    f = MonoidMap(I, I, (0, 1))
+    assert tuple(frozenset(x for x in I.elements() if f.images[x] in p)
+                 for p in S.points) == (frozenset(), frozenset({1}))
     # the reflection projection induces a bijection on spectra
     M = cyclic_monoid(2, 2)
     L, q = sl_reflection(M)
     SL = primes_bruteforce(L.monoid)
-    pre = induced_spec_map(q, SL)
+    pre = [frozenset(x for x in M.elements() if q.images[x] in p) for p in SL.points]
     assert sorted(pre, key=canonical_key) == list(primes_bruteforce(M).points)
+    # that pull-back is the reduction route
+    assert spec_monoid(M).points == primes_bruteforce(M).points
     # first-factor inclusion into the product monoid
     P = validate_monoid(
         [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]]
     )
     inc = MonoidMap(I, P, (0, 1))
     SP = primes_bruteforce(P)
-    for p in induced_spec_map(inc, SP):
-        assert p in set(primes_bruteforce(I).points)
+    for p in SP.points:
+        pre = frozenset(x for x in I.elements() if inc.images[x] in p)
+        assert pre in set(primes_bruteforce(I).points)
 
 
 def test_naturality_square():
-    from monospec.semilattice import identity_map, monotone_map
+    from monospec.semilattice import monotone_map
 
     L3 = chain_semilattice(3)
-    assert naturality_square(identity_map(L3))
+    assert naturality_square(monotone_map(L3, L3, L3.elements()))
     f = monotone_map(chain_semilattice(2), L3, [0, 1])
     assert naturality_square(f)
 
