@@ -237,7 +237,10 @@ def monoid_homs(M: FiniteMonoid, N: FiniteMonoid, limit=None) -> list[MonoidMap]
             return
         for v in range(m):
             images[e] = v
-            if all(tgt[images[a]][images[b]] == images[p] for a, b, p in checks[e]):
+            for a, b, p in checks[e]:
+                if tgt[images[a]][images[b]] != images[p]:
+                    break
+            else:
                 assign(e + 1)
             if limit is not None and len(out) >= limit:
                 return

@@ -7,6 +7,7 @@ acceptance tests run over these corpora.
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 from .congruence import congruence_closure, quotient, sl_reflection
 from .core import (
@@ -69,12 +70,9 @@ def _structured_monoids(max_size: int) -> list[FiniteMonoid]:
     for k in range(1, 4):
         if 2 ** k <= max_size:
             out.append(free_semilattice(k).monoid)
-    products = []
-    for a in out:
-        for b in out:
-            if 1 < a.size * b.size <= max_size:
-                products.append(direct_product(a, b))
-    out.extend(products[:40])
+    # the first 40 products in pair order; later pairs are never built
+    pairs = ((a, b) for a in out for b in out if 1 < a.size * b.size <= max_size)
+    out.extend([direct_product(a, b) for a, b in islice(pairs, 40)])
     return [m for m in out if m.size <= max_size]
 
 

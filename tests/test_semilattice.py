@@ -1,4 +1,8 @@
+from dataclasses import replace
+
 import pytest
+
+from monospec import verify
 
 from monospec.core import sierpinski, validate_monoid
 from monospec.corpus import chain_semilattice, corpus_join_morphisms
@@ -130,6 +134,23 @@ def test_adjoint_suite_on_corpus():
                 rhs = compose_monotone(right_adjoint(h), right_adjoint(f))
                 assert lhs.images == rhs.images
     assert composable >= 10
+
+
+def test_adjoint_fault_is_caught(monkeypatch):
+    """One wrong image in one map's right adjoint makes the adjoint suite fail."""
+    maps = [f for f in corpus_join_morphisms(0, count=30) if is_join_morphism(f)]
+    wrong = maps[0]
+    valid = verify.right_adjoint
+
+    def faulty(f):
+        g = valid(f)
+        if f is not wrong:
+            return g
+        return replace(g, images=((g.images[0] + 1) % g.target.size,) + g.images[1:])
+
+    monkeypatch.setattr(verify, "right_adjoint", faulty)
+    _, fails, _ = verify.check_adjoints(maps)
+    assert fails >= 1
 
 
 def test_absorption_order():

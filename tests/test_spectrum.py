@@ -116,6 +116,19 @@ def test_brute_fault_fails_topology_checks(monkeypatch):
     assert fails == 1
 
 
+def test_alpha_fault_fails_alpha_suite(monkeypatch):
+    """Two elements' primes swapped in one lattice make the alpha suite fail."""
+    L = free_semilattice(2)
+    valid = verify.alpha
+
+    def swapped(K, a):
+        return valid(K, {1: 2, 2: 1}.get(a, a) if K is L else a)
+
+    monkeypatch.setattr(verify, "alpha", swapped)
+    _, fails, total = verify.check_alpha_suite([chain_semilattice(3), L])
+    assert (fails, total) == (1, 2)
+
+
 def test_brute_fault_fails_duals_checks(monkeypatch):
     """A missing prime makes the double-spectrum check fail, not raise."""
     L = free_semilattice(2)

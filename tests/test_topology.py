@@ -1,10 +1,12 @@
+from itertools import combinations
+
 import pytest
 
 from monospec.core import sierpinski, validate_monoid
-from monospec.corpus import chain_semilattice, corpus_monoids
-from monospec.errors import ValidationError
+from monospec.corpus import chain_semilattice, corpus_monoids, corpus_semilattices
+from monospec.errors import CapExceeded, ValidationError
 from monospec.presentation import free_semilattice
-from monospec.spectrum import primes_bruteforce
+from monospec.spectrum import canonical_key, primes_bruteforce
 from monospec.topology import (
     alpha_opens_check,
     basis_D,
@@ -57,6 +59,26 @@ def test_ideal_opens():
     assert T.opens == (frozenset(), frozenset({2}), frozenset({1, 2}), frozenset({0, 1, 2}))
     assert ideal_opens(chain_semilattice(1)).opens == (frozenset(), frozenset({0}))
     assert len(ideal_opens(free_semilattice(2)).opens) == 6
+
+
+def _upsets(L):
+    """Every subset S with y in S whenever x in S and x <= y, on frozensets."""
+    above = [[y for y in L.elements() if L.leq[x][y]] for x in L.elements()]
+    subsets = (frozenset(S) for k in range(L.size + 1)
+               for S in combinations(L.elements(), k))
+    return [S for S in subsets if all(y in S for x in S for y in above[x])]
+
+
+def test_ideal_opens_matches_definition():
+    lattices = [L for s in range(3) for L in corpus_semilattices(s, 40, 10)]
+    lattices += [free_semilattice(4), chain_semilattice(16), chain_semilattice(1)]
+    for L in lattices:
+        expected = tuple(sorted(_upsets(L), key=canonical_key))
+        assert ideal_opens(L).opens == expected
+    assert len(ideal_opens(free_semilattice(4)).opens) == 168
+    assert len(ideal_opens(chain_semilattice(16)).opens) == 17  # 65536-bit lanes
+    with pytest.raises(CapExceeded, match="size 33 exceeds the cap of 32"):
+        ideal_opens(chain_semilattice(33), cap=100)
 
 
 def test_ideal_opens_closed_under_union_and_intersection():
