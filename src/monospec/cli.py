@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 input error (parse failure, cap exceeded, bad flags,
-unknown `--via` route), 2 integrity failure (independent routes disagree: a
-bug, never bad input).
+unknown `--via` route), 2 integrity failure (independent routes disagree, or
+a self-check that holds by theorem fails: a bug, never bad input).
 """
 
 from __future__ import annotations
@@ -13,31 +13,20 @@ from pathlib import Path
 
 from . import dot as dot_mod
 from .congruence import sl_reflection
-from .core import (
-    SUBSET_CAP,
-    enforce_cap,
-    format_monoid_table,
-    monoid_homs,
-    parse_monoid_table,
-    render_set,
-    sierpinski,
-)
+from .core import SUBSET_CAP, format_monoid_table, parse_monoid_table, render_set
 from .errors import InputError, IntegrityError
 from .presentation import parse_presentation, sl_of_presentation
-from .semilattice import monotone_map, left_adjoint, right_adjoint
+from .semilattice import from_monoid, monotone_map, left_adjoint, right_adjoint
 from .spectrum import (
-    canonical_key,
+    ROUTES,
     primes_bruteforce,
-    spec_monoid,
+    route_primes,
     spec_presentation,
     render_support,
-    theta,
+    spectrum_monoid,
 )
 from .topology import format_opens, ideal_opens
 from .verify import mutation_detected, run_all
-
-#: The spectrum routes `spec --via` accepts, in output order.
-ROUTES = ("brute", "hom", "alpha")
 
 
 def _load(path: str, kind: str | None):
@@ -74,22 +63,17 @@ def cmd_spec(args) -> int:
     kind, obj = _load(args.input, args.kind)
     results = {}
     labels = {}
+    M = obj
     if kind == "pres":
         L, _, S, supports = spec_presentation(obj, cap=args.cap)
         M = L.monoid
         labels = {p: render_support(obj, s) for p, s in zip(S.points, supports)}
         if "alpha" in vias:
-            results["alpha"] = list(S.points)
-    else:
-        M = obj
-        if "alpha" in vias:
-            results["alpha"] = list(spec_monoid(M, cap=args.cap).points)
-    if "brute" in vias:
-        results["brute"] = list(primes_bruteforce(M, cap=args.cap).points)
-    if "hom" in vias:
-        enforce_cap("size", M.size, args.cap)
-        results["hom"] = sorted((theta(f) for f in monoid_homs(M, sierpinski())),
-                                key=canonical_key)
+            results["alpha"] = S.points
+    # alpha first, so that a cap error names the reflection before the table
+    for via in ("alpha", "brute", "hom"):
+        if via in vias and via not in results:
+            results[via] = route_primes(M, via, args.cap)
     for via in ROUTES:
         if via in results:
             pts = results[via]
@@ -123,9 +107,6 @@ def cmd_sl(args) -> int:
 def cmd_dot(args) -> int:
     L = _reflection(args)
     if args.spec:
-        from .semilattice import from_monoid
-        from .spectrum import spectrum_monoid
-
         S = primes_bruteforce(L.monoid, cap=args.cap)
         L = from_monoid(spectrum_monoid(S))
         print(dot_mod.hasse_dot(L, graph_name="spec"), end="")
@@ -142,8 +123,6 @@ def cmd_topology(args) -> int:
 
 
 def cmd_adjoint(args) -> int:
-    from .semilattice import from_monoid
-
     _, src = _load(args.source, "mon")
     _, tgt = _load(args.target, "mon")
     Ls, Lt = from_monoid(src), from_monoid(tgt)

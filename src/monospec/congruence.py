@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import FiniteMonoid, MonoidMap
-from .errors import ValidationError
+from .errors import IntegrityError, ValidationError
 from .semilattice import JoinSemilattice, from_monoid
 
 
@@ -44,7 +44,7 @@ def _check_compatible(C: Congruence) -> None:
         for b in cls[1:]:
             for c in M.elements():
                 if C.class_of[M.table[a][c]] != C.class_of[M.table[b][c]]:
-                    raise ValidationError(
+                    raise IntegrityError(
                         f"partition is not a congruence: {a} ~ {b} but "
                         f"{a}*{c} and {b}*{c} fall in different classes"
                     )

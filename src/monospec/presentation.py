@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import SUBSET_CAP, FiniteMonoid, enforce_cap
-from .errors import ParseError, ValidationError
+from .errors import IntegrityError, ParseError
 from .semilattice import JoinSemilattice, from_monoid
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -215,7 +215,7 @@ def sl_of_presentation(P: Presentation,
         if r != x:
             for bit in bits:
                 if class_of[x | bit] != class_of[r | bit]:
-                    raise ValidationError(
+                    raise IntegrityError(
                         f"closure classes are not a congruence: masks {x} ~ {r} "
                         f"split after adding mask {bit}"
                     )

@@ -13,6 +13,7 @@ from .errors import ValidationError
 from .semilattice import JoinSemilattice
 from .spectrum import (
     Spectrum,
+    alpha,
     canonical_key,
     primes_bruteforce,
     theta,
@@ -170,8 +171,6 @@ def theta_homeo_check(M: FiniteMonoid) -> bool:
 
 def alpha_opens_check(L: JoinSemilattice) -> bool:
     """Downset-complement map carries the ideal topology onto the spectral one."""
-    from .spectrum import alpha
-
     S = primes_bruteforce(L.monoid)
     point_index = {p: i for i, p in enumerate(S.points)}
     amap = [point_index.get(alpha(L, a)) for a in L.elements()]

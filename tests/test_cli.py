@@ -9,6 +9,8 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_COMMANDS = {
     "spec-via-all": ["spec", "--via", "all"],
+    "spec-via-brute": ["spec", "--via", "brute"],
+    "spec-via-hom-alpha": ["spec", "--via", "hom,alpha"],
     "sl": ["sl"],
     "dot": ["dot"],
     "dot-spec": ["dot", "--spec"],
@@ -56,6 +58,13 @@ def test_spec_cap_exceeded(files, capsys):
                  ["spec", "--via", "alpha", "--cap", "1", str(DATA / "xy.pres")]):
         assert main(argv) == 1
         assert "exceeds the cap of" in capsys.readouterr().err
+    # the reflection route runs first, so its cap error is the one reported
+    names = [f"e{i}" for i in range(17)]
+    chain17 = files / "chain17.mon"
+    chain17.write_text(f"elements: {' '.join(names)}\nidentity: e0\ntable:\n" + "".join(
+        " ".join(names[max(i, j)] for j in range(17)) + "\n" for i in range(17)))
+    assert main(["spec", "--via", "all", str(chain17)]) == 1
+    assert capsys.readouterr().err == "error: reflection size 17 exceeds the cap of 16\n"
     # the free reflection on 12 generators (4096 elements) is refused at the
     # default cap before its 4096 x 4096 table is built
     twelve = files / "twelve.pres"

@@ -1,8 +1,16 @@
 import pytest
 
+from monospec import congruence
+from monospec.cli import main
 from monospec.congruence import congruence_closure, grillet_relation, quotient, sl_reflection
-from monospec.core import is_idempotent, monoid_homs, sierpinski, validate_monoid
-from monospec.corpus import corpus_monoids, cyclic_monoid, chain_semilattice
+from monospec.core import (
+    format_monoid_table,
+    is_idempotent,
+    monoid_homs,
+    sierpinski,
+    validate_monoid,
+)
+from monospec.corpus import corpus_monoids, cyclic_group, cyclic_monoid, chain_semilattice
 from monospec.errors import ValidationError
 
 
@@ -55,6 +63,28 @@ def test_quotient_rejects_foreign_congruence():
     C = congruence_closure(z2(), [])
     with pytest.raises(ValidationError):
         quotient(t4_is_t2(), C)
+
+
+def test_unpropagated_closure_is_an_integrity_failure(monkeypatch, tmp_path, capsys):
+    """A closure that never propagates its merges fails the congruence self-check.
+
+    The partition check holds by theorem, so the CLI blames the code (exit 2),
+    not the valid input table (exit 1).
+    """
+
+    def unpropagated(M, pairs):
+        uf = congruence._UnionFind(M.size)
+        for a, b in pairs:
+            uf.union(a, b)
+        return congruence._congruence_from_class_of(M, [uf.find(x) for x in M.elements()])
+
+    monkeypatch.setattr(congruence, "congruence_closure", unpropagated)
+    # in Z3 the unpropagated merge t ~ t2 is split by t * t = t2, t2 * t = 1
+    f = tmp_path / "z3.mon"
+    f.write_text(format_monoid_table(cyclic_group(3)))
+    assert main(["sl", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("integrity failure: partition is not a congruence")
 
 
 def test_sl_reflection_examples():

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from monospec import presentation
+from monospec.cli import main
 from monospec.congruence import sl_reflection
 from monospec.core import is_idempotent, sierpinski
 from monospec.corpus import corpus_monoids
@@ -151,3 +153,25 @@ def test_table_presentation_consistency():
         L1, _ = sl_of_presentation(P)
         L2, _ = sl_reflection(M)
         assert _iso_as_semilattices(L1.monoid, L2.monoid)
+
+
+def test_one_pass_horn_closure_is_an_integrity_failure(monkeypatch, tmp_path, capsys):
+    """A Horn closure that applies its rules once fails the congruence self-check.
+
+    The check holds by theorem, so the CLI blames the code (exit 2), not the
+    valid presentation (exit 1).
+    """
+
+    def one_pass(x, rules):
+        for a, b in rules:
+            if a & x == a:
+                x |= b
+        return x
+
+    monkeypatch.setattr(presentation, "_horn_closure", one_pass)
+    f = tmp_path / "g5.pres"
+    f.write_text("gens: g0 g1 g2 g3 g4\n"
+                 "rels: g2 = g3 g2; g2 g1 = g2; g0 = g4 g1; g0 g4 = g3 g0\n")
+    assert main(["spec", "--via", "all", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("integrity failure: closure classes are not a congruence")

@@ -83,15 +83,44 @@ def _drop_last_point(monkeypatch, module):
     monkeypatch.setattr(module, "primes_bruteforce", faulty)
 
 
-def test_brute_fault_is_caught(monkeypatch, capsys):
-    """A brute route missing one prime makes the route cross-checks fail."""
-    _drop_last_point(monkeypatch, cli)
+def _routes_disagree(capsys):
+    """`spec --via all` exits 2 on data/i.mon; returns the route suite's counts."""
     data = Path(__file__).resolve().parent.parent / "data"
     assert cli.main(["spec", "--via", "all", str(data / "i.mon")]) == 2
     assert "routes agree: NO" in capsys.readouterr().out
-    _drop_last_point(monkeypatch, verify)
-    _, fails, _ = verify.check_three_routes(corpus_monoids(0, 20, 6), [])
+    _, fails, total = verify.check_three_routes(corpus_monoids(0, 20, 6), [])
+    return fails, total
+
+
+def test_brute_fault_is_caught(monkeypatch, capsys):
+    """A brute route missing one prime makes the route cross-checks fail."""
+    _drop_last_point(monkeypatch, spectrum)
+    fails, _ = _routes_disagree(capsys)
     assert fails >= 1
+
+
+def test_hom_fault_is_caught(monkeypatch, capsys):
+    """A hom route missing one hom makes the route cross-checks fail."""
+    valid = spectrum.monoid_homs
+    monkeypatch.setattr(spectrum, "monoid_homs", lambda M, N: valid(M, N)[:-1])
+    fails, _ = _routes_disagree(capsys)
+    assert fails >= 1
+
+
+def test_build_spectrum_fault_is_caught(monkeypatch, capsys):
+    """A `build_spectrum` that drops a point reaches brute and alpha, not hom.
+
+    The hom route sorts its own kernels, so it still disagrees with the other
+    two; a hom route through `build_spectrum` would agree with them here.
+    """
+    valid = spectrum.build_spectrum
+
+    def faulty(M, points):
+        S = valid(M, points)
+        return replace(S, points=S.points[:-1])
+
+    monkeypatch.setattr(spectrum, "build_spectrum", faulty)
+    assert _routes_disagree(capsys) == (20, 20)
 
 
 def test_brute_fault_fails_topology_checks(monkeypatch):
