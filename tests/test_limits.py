@@ -3,7 +3,7 @@ from time import perf_counter
 import pytest
 
 from monospec.core import sierpinski, submonoid_closure, validate_monoid
-from monospec.corpus import chain_semilattice, corpus_submonoid_chains
+from monospec.corpus import chain_semilattice, corpus_semilattices, corpus_submonoid_chains
 from monospec.errors import CapExceeded, ValidationError
 from monospec import limits
 from monospec.limits import (
@@ -85,6 +85,29 @@ def test_subsemilattices_of_chain():
     assert len(subsemilattices(L)) == 4
 
 
+def _subsemilattices_by_definition(L):
+    """Every subset holding the least element and closed under join, over all 2^n subsets."""
+    out = []
+    for mask in range(1 << L.size):
+        members = [x for x in L.elements() if (mask >> x) & 1]
+        if 0 in members and all(L.join(a, b) in members for a in members for b in members):
+            out.append(tuple(members))
+    return sorted(out, key=lambda s: (len(s), s))
+
+
+def test_subsemilattices_match_definition():
+    lattices = [L for s in range(3) for L in corpus_semilattices(s, 40, 10)]
+    lattices += [chain_semilattice(1), from_monoid(sierpinski())]
+    for L in lattices:
+        assert subsemilattices(L) == _subsemilattices_by_definition(L)
+    assert subsemilattices(chain_semilattice(1)) == [(0,)]
+    for L, count in ((free_semilattice(3), 61), (free_semilattice(4), 2480),
+                     (chain_semilattice(12), 2048)):
+        stages = subsemilattices(L)
+        assert len(stages) == count
+        assert stages == _subsemilattices_by_definition(L)
+
+
 def test_profinite_examples():
     L = from_monoid(sierpinski())
     stages, families, evaluations = profinite_spec(L)
@@ -100,7 +123,21 @@ def test_profinite_system_relates_covers():
     assert system.relations == [(0, 1), (0, 2), (1, 3), (2, 3)]
 
 
+def test_inverse_limit_checks_relations_off_the_tree():
+    """On the diamond of chain(3)'s covers the BFS tree from stage 3 uses
+    (1, 3), (2, 3) and (0, 1); a fault in (0, 2) shows only in the check."""
+    relations = [(0, 1), (0, 2), (1, 3), (2, 3)]
+    maps = {(0, 1): (0, 0, 1), (0, 2): (0, 0, 1), (1, 3): (0, 1, 2), (2, 3): (0, 1, 2)}
+    coherent = inverse_limit(inverse_system([2, 3, 3, 3], relations, maps))
+    assert coherent == [(0, 0, 0, 0), (0, 1, 1, 1), (1, 2, 2, 2)]
+    maps[(0, 2)] = (0, 1, 1)  # top point 1 reaches stage 0 as 0 via stage 1, as 1 via stage 2
+    assert inverse_limit(inverse_system([2, 3, 3, 3], relations, maps)) == [
+        (0, 0, 0, 0), (1, 2, 2, 2)]
+
+
 def test_profinite_free_semilattice_4():
+    stages, system = profinite_system(free_semilattice(4))
+    assert (len(stages), len(system.relations)) == (2480, 10825)
     assert profinite_check(free_semilattice(4))
     # 32 elements: refused before the 2^31-mask subsemilattice scan
     start = perf_counter()

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from monospec import cli, spectrum, topology, verify
+from monospec import cli, limits, spectrum, topology, verify
 from monospec.congruence import sl_reflection
 from monospec.core import MonoidMap, direct_product, monoid_homs, sierpinski, validate_monoid
 from monospec.corpus import chain_semilattice, corpus_monoids, cyclic_group, cyclic_monoid
@@ -165,6 +165,17 @@ def test_brute_fault_fails_duals_checks(monkeypatch):
     assert spectrum.spec_spec_check(L) is False
     _, fails, _ = verify.check_duals([L])
     assert fails == 1
+
+
+def test_brute_fault_fails_limits_checks(monkeypatch):
+    """A missing prime makes the colimit and profinite checks fail, not raise."""
+    L = free_semilattice(2)
+    chain = [frozenset({0}), frozenset({0, 1}), frozenset(range(4))]
+    _drop_last_point(monkeypatch, limits)
+    assert limits.zg_check(L.monoid, chain) is False
+    assert limits.profinite_check(L) is False
+    _, fails, _ = verify.check_limits([(L.monoid, chain)], [L])
+    assert fails >= 1
 
 
 def test_bruteforce_cap():
