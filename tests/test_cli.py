@@ -157,6 +157,14 @@ def test_verify_quick(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("argv, golden", [(["--seed", "0"], "verify-seed-0.out"),
+                                           (["--quick", "--seed", "1"], "verify-quick-seed-1.out")])
+def test_verify_golden_output(argv, golden, capsys):
+    """Every suite line, totals included, equals the text in tests/golden."""
+    assert main(["verify"] + argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
 def test_verify_mutation_mode(capsys):
     assert main(["verify", "--mutate"]) == 0
     assert "mutation detected" in capsys.readouterr().out

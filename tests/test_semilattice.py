@@ -5,9 +5,9 @@ import pytest
 from monospec import verify
 
 from monospec.core import sierpinski, validate_monoid
-from monospec.corpus import chain_semilattice, corpus_join_morphisms
+from monospec.corpus import chain_semilattice, corpus_join_morphisms, corpus_semilattices
 from monospec.dot import hasse_dot
-from monospec.errors import ValidationError
+from monospec.errors import IntegrityError, ValidationError
 from monospec.presentation import free_semilattice
 from monospec.semilattice import (
     check_adjunction,
@@ -15,8 +15,10 @@ from monospec.semilattice import (
     from_monoid,
     is_join_morphism,
     is_meet_morphism,
+    JoinSemilattice,
     left_adjoint,
     meet,
+    meet_table,
     monotone_map,
     right_adjoint,
     top,
@@ -151,6 +153,21 @@ def test_adjoint_fault_is_caught(monkeypatch):
     monkeypatch.setattr(verify, "right_adjoint", faulty)
     _, fails, _ = verify.check_adjoints(maps)
     assert fails >= 1
+
+
+def test_meet_table_matches_meet():
+    lattices = [L for s in range(3) for L in corpus_semilattices(s, 40, 10)]
+    for L in lattices + [free_semilattice(4), chain_semilattice(1)]:
+        assert meet_table(L) == tuple(tuple(meet(L, a, b) for b in L.elements())
+                                      for a in L.elements()), L.monoid.table
+
+
+def test_meet_table_rejects_a_non_lattice():
+    # 1 and 2 both lie below 3 and 4, so 3 and 4 have no greatest lower bound
+    below = {(1, 3), (1, 4), (2, 3), (2, 4)}
+    leq = tuple(tuple(x == y or x == 0 or (x, y) in below for y in range(5)) for x in range(5))
+    with pytest.raises(IntegrityError, match="not a lattice"):
+        meet_table(JoinSemilattice(chain_semilattice(5).monoid, leq))
 
 
 def test_absorption_order():
