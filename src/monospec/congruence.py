@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteMonoid, MonoidMap
+from .core import FiniteMonoid, MonoidMap, memoized
 from .errors import IntegrityError, ValidationError
 from .semilattice import JoinSemilattice, from_monoid
 
@@ -109,6 +109,7 @@ def quotient(M: FiniteMonoid, C: Congruence) -> tuple[FiniteMonoid, MonoidMap]:
     return Q, MonoidMap(M, Q, C.class_of)
 
 
+@memoized
 def sl_reflection(M: FiniteMonoid) -> tuple[JoinSemilattice, MonoidMap]:
     """The universal idempotent quotient, as a join semilattice, with q."""
     C = congruence_closure(M, [(x, M.table[x][x]) for x in M.elements()])

@@ -2,13 +2,17 @@
 
 Elements are integer indices into the table; the identity is always index 0
 (`validate_monoid` relabels on construction when necessary).  Element sets are
-plain frozensets of indices with a canonical sorted rendering.
+plain frozensets of indices with a canonical sorted rendering.  `memoized`
+functions share their results inside one `memo_scope` (a `verify` run) and
+compute afresh everywhere else.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .errors import CapExceeded, ParseError, ValidationError
 
@@ -20,6 +24,57 @@ def enforce_cap(what: str, n: int, cap: int = SUBSET_CAP) -> None:
     """Raise CapExceeded, whose docstring gives the rule, when n exceeds cap."""
     if n > cap:
         raise CapExceeded(f"{what} {n} exceeds the cap of {cap}")
+
+
+class _Memo(threading.local):
+    """Per thread: the results of `memoized` calls in the innermost `memo_scope`, else None."""
+
+    table: dict | None = None
+
+
+_memo = _Memo()
+
+
+@contextmanager
+def memo_scope():
+    """Share the results of `memoized` functions until the block exits.
+
+    Each scope starts empty and is dropped on exit, raised or not, so no
+    result outlives the block that asked for it; an enclosing scope is
+    restored.
+    """
+    outer, _memo.table = _memo.table, {}
+    try:
+        yield
+    finally:
+        _memo.table = outer
+
+
+def memoized(fn):
+    """Inside a `memo_scope`, compute fn once per argument value; outside, just call it.
+
+    The key is (fn, positional arguments, keyword arguments), compared by
+    value, names included: one function's result never answers for another's,
+    and equal tables with different names stay apart.  fn must be pure and
+    return a value its callers do not mutate, since every hit hands out the
+    same object.
+    """
+    @wraps(fn)
+    def wrapper(*args, **kwargs):
+        memo = _memo.table
+        if memo is None:
+            return fn(*args, **kwargs)
+        key = (fn, args, tuple(sorted(kwargs.items()))) if kwargs else (fn, args)
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable argument has no key
+            return fn(*args, **kwargs)
+        result = memo[key] = fn(*args, **kwargs)
+        return result
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -209,7 +264,8 @@ def is_hom(f: MonoidMap) -> bool:
     return all(im[src[a][b]] == tgt[im[a]][im[b]] for a in range(n) for b in range(a, n))
 
 
-def monoid_homs(M: FiniteMonoid, N: FiniteMonoid, limit=None) -> list[MonoidMap]:
+@memoized
+def monoid_homs(M: FiniteMonoid, N: FiniteMonoid, limit=None) -> tuple[MonoidMap, ...]:
     """All monoid homomorphisms M -> N, in lexicographic order of image tuples.
 
     The search fixes the identity's image at 0, assigns elements 1, 2, ... in
@@ -246,7 +302,7 @@ def monoid_homs(M: FiniteMonoid, N: FiniteMonoid, limit=None) -> list[MonoidMap]
                 return
 
     assign(1)
-    return out
+    return tuple(out)
 
 
 def render_set(M: FiniteMonoid, members) -> str:

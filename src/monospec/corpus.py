@@ -13,6 +13,7 @@ from .congruence import congruence_closure, quotient, sl_reflection
 from .core import (
     FiniteMonoid,
     direct_product,
+    memoized,
     monoid_homs,
     sierpinski,
     submonoid_closure,
@@ -24,6 +25,7 @@ from .presentation import Presentation, free_semilattice, sl_of_presentation
 from .semilattice import JoinSemilattice, MonotoneMap, from_monoid
 
 
+@memoized
 def cyclic_monoid(index: int, period: int) -> FiniteMonoid:
     """The monogenic monoid with t^(index+period) = t^index."""
     size = index + period
@@ -44,6 +46,7 @@ def cyclic_group(n: int) -> FiniteMonoid:
     return cyclic_monoid(0, n)
 
 
+@memoized
 def chain_semilattice(n: int) -> JoinSemilattice:
     """The n-element chain as a join semilattice (join = max)."""
     table = [[max(a, b) for b in range(n)] for a in range(n)]
@@ -76,14 +79,42 @@ def _structured_monoids(max_size: int) -> list[FiniteMonoid]:
     return [m for m in out if m.size <= max_size]
 
 
+class _Seeded:
+    """An endless seeded sequence, evaluated only as far as it has been read.
+
+    Its items are fixed by the seed, so reading further never changes a
+    prefix already handed out; `prefix` hands out a fresh list each time.
+    """
+
+    def __init__(self, items):
+        self._items, self._read = items, []
+
+    def prefix(self, count: int) -> list:
+        self._read.extend(islice(self._items, max(0, count - len(self._read))))
+        return self._read[:count]
+
+
+@memoized
+def _monoid_sequence(seed: int, max_size: int) -> _Seeded:
+    """The structured monoids, then random quotients of them, for ever."""
+    def items():
+        rng = random.Random(f"monoids:{seed}")
+        base = _structured_monoids(max_size)
+        yield from base
+        while True:
+            M = rng.choice(base)
+            yield random_quotient(M, rng)
+
+    return _Seeded(items())
+
+
 def corpus_monoids(seed: int, count: int = 150, max_size: int = 10) -> list[FiniteMonoid]:
-    rng = random.Random(f"monoids:{seed}")
-    base = _structured_monoids(max_size)
-    out = list(base)
-    while len(out) < count:
-        M = rng.choice(base)
-        out.append(random_quotient(M, rng))
-    return out[:count] if len(out) > count else out
+    """The first `count` monoids of the seeded sequence of tables of at most max_size.
+
+    A shorter corpus is a prefix of a longer one; inside a `memo_scope` every
+    count for one (seed, max_size) reads the same sequence, built once.
+    """
+    return _monoid_sequence(seed, max_size).prefix(count)
 
 
 def corpus_semilattices(seed: int, count: int = 40, max_size: int = 10) -> list[JoinSemilattice]:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import SUBSET_CAP, FiniteMonoid, enforce_cap
+from .core import SUBSET_CAP, FiniteMonoid, enforce_cap, memoized
 from .errors import IntegrityError, ParseError
 from .semilattice import JoinSemilattice, from_monoid
 
@@ -65,7 +65,8 @@ def parse_presentation(text: str) -> Presentation:
 
     Relations are separated by `;`, each `word = word`; a factor is a name
     with an optional `^k`; `1` denotes the empty word; `#` starts a comment
-    line.
+    line.  An empty `rels:` line has no relations, but an empty relation
+    beside a `;` is an error.
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -98,7 +99,9 @@ def parse_presentation(text: str) -> Presentation:
             raise ParseError("expected `rels:` line", line=lineno)
         offset = raw.index("rels:") + len("rels:")
         body = raw[offset:]
-        for chunk in body.split(";"):
+        for chunk in body.split(";") if body.strip() else ():
+            if not chunk.strip():
+                raise ParseError("empty relation", line=lineno, column=offset + 1)
             sides = chunk.split("=")
             if len(sides) != 2:
                 raise ParseError(
@@ -130,6 +133,7 @@ def _subset_name(names, subset) -> str:
     return "{" + ",".join(names[i] for i in subset) + "}"
 
 
+@memoized
 def free_semilattice(k: int, names=None) -> JoinSemilattice:
     """Subsets of k generators under union; identity is the empty set.
 

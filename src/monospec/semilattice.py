@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .core import FiniteMonoid, is_idempotent
+from .core import FiniteMonoid, is_idempotent, memoized
 from .errors import IntegrityError, ValidationError
 
 
@@ -74,6 +74,7 @@ def meet(L: JoinSemilattice, a: int, b: int) -> int:
     return m
 
 
+@memoized
 def meet_table(L: JoinSemilattice) -> tuple[tuple[int, ...], ...]:
     """All binary meets: row a, column b holds the meet of a and b.
 

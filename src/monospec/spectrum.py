@@ -20,6 +20,7 @@ from .core import (
     enforce_cap,
     is_hom,
     is_submonoid,
+    memoized,
     monoid_homs,
     render_set,
     sierpinski,
@@ -76,6 +77,7 @@ def build_spectrum(M: FiniteMonoid, points) -> Spectrum:
     return Spectrum(M, tuple(pts), tuple(table))
 
 
+@memoized
 def primes_bruteforce(M: FiniteMonoid, cap: int = SUBSET_CAP) -> Spectrum:
     """Scan all subsets (identity excluded up front) for the prime laws.
 

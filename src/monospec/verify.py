@@ -9,8 +9,11 @@ distinct table (see `_key`), counting every occurrence: at seeds 6-11 the
 items of the nine suites besides the adjoint one are 2450 distinct tables out
 of 5205 (4135 of 7125 with the adjoint suite's maps and pairs).  `run_all`
 builds the corpora of the CLI `verify` command from a seed and runs every
-suite over them.  The acceptance tests build their own corpora and call the
-same `check_*` functions.
+suite over them inside one `core.memo_scope`: the run shares its corpora and
+the values derived from them (brute spectra, reflections, homs, meet tables,
+chains, cyclic and free monoids), each built once, and nothing outlives the
+run.  The acceptance tests build their own corpora and call the same
+`check_*` functions.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .core import (
     MonoidMap,
     is_hom,
     is_idempotent,
+    memo_scope,
     monoid_homs,
     submonoid_closure,
     units,
@@ -313,27 +317,33 @@ def check_module_invariants(monoids):
 
 
 def run_all(seed: int = 0, quick: bool = False):
-    """Run every suite on the seeded corpora; returns a list of (name, failures, total)."""
+    """Run every suite on the seeded corpora; returns a list of (name, failures, total).
+
+    The run is one `memo_scope`: its corpora, spectra, reflections and homs
+    are each built once, and dropped when the run returns or raises.
+    """
     scale = 1 if not quick else 4
-    lattices = corpus_semilattices(seed, count=40, max_size=10)
-    join_maps = [f for f in corpus_join_morphisms(seed, count=120 // scale) if is_join_morphism(f)]
-    # the corpus is a seeded sequence, so a shorter one is a prefix of this
-    monoids = corpus_monoids(seed, count=150, max_size=10)
-    results = [
-        check_three_routes(monoids[:150 // scale],
-                           corpus_presentations(seed, count=60 // scale, max_gens=6)),
-        check_theta([M for M in monoids[:120] if M.size <= 8]),
-        check_alpha_suite(lattices),
-        check_naturality(join_maps),
-        check_grillet([M for M in monoids if M.size <= 7]),
-        check_power_submonoid(corpus_power_pairs(seed, count=60 // scale)),
-        check_duals([L for L in lattices if L.size <= 8]),
-        check_limits(corpus_submonoid_chains(seed, count=60 // scale),
-                     [L for L in corpus_semilattices(seed, count=40, max_size=8) if L.size <= 8]),
-        check_adjoints(join_maps),
-        check_module_invariants(corpus_monoids(seed, count=60, max_size=8)),
-    ]
-    return results
+    with memo_scope():
+        lattices = corpus_semilattices(seed, count=40, max_size=10)
+        join_maps = [f for f in corpus_join_morphisms(seed, count=120 // scale)
+                     if is_join_morphism(f)]
+        # the corpus is a seeded sequence, so a shorter one is a prefix of this
+        monoids = corpus_monoids(seed, count=150, max_size=10)
+        return [
+            check_three_routes(monoids[:150 // scale],
+                               corpus_presentations(seed, count=60 // scale, max_gens=6)),
+            check_theta([M for M in monoids[:120] if M.size <= 8]),
+            check_alpha_suite(lattices),
+            check_naturality(join_maps),
+            check_grillet([M for M in monoids if M.size <= 7]),
+            check_power_submonoid(corpus_power_pairs(seed, count=60 // scale)),
+            check_duals([L for L in lattices if L.size <= 8]),
+            check_limits(corpus_submonoid_chains(seed, count=60 // scale),
+                         [L for L in corpus_semilattices(seed, count=40, max_size=8)
+                          if L.size <= 8]),
+            check_adjoints(join_maps),
+            check_module_invariants(corpus_monoids(seed, count=60, max_size=8)),
+        ]
 
 
 def mutation_detected(seed: int = 0) -> bool:

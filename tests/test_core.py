@@ -1,14 +1,19 @@
+import threading
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from monospec import core
+from monospec.congruence import sl_reflection
 from monospec.core import (
     MonoidMap,
     direct_product,
     format_monoid_table,
     is_hom,
     is_idempotent,
+    memo_scope,
+    memoized,
     monoid_homs,
     parse_monoid_table,
     render_set,
@@ -21,6 +26,7 @@ from monospec.core import (
 from monospec.corpus import chain_semilattice, corpus_monoids, cyclic_monoid
 from monospec.errors import ParseError, ValidationError
 from monospec.presentation import free_semilattice
+from monospec.spectrum import primes_bruteforce
 
 
 def z2():
@@ -162,3 +168,64 @@ def test_table_parse_errors():
         parse_monoid_table("elements: a\nidentity: b\ntable:\na\n")
     with pytest.raises(ParseError, match="expected 2 table rows"):
         parse_monoid_table("elements: a b\nidentity: a\ntable:\na b\n")
+
+
+def test_memoized_calls_through_outside_a_scope():
+    calls = []
+
+    @memoized
+    def square(x, shift=0):
+        calls.append(x)
+        return x * x + shift
+
+    assert (square(3), square(3)) == (9, 9)
+    assert calls == [3, 3]
+    with memo_scope():
+        assert core._memo.table == {}
+        assert (square(3), square(3), square(4), square(3, shift=1)) == (9, 9, 16, 10)
+        assert calls == [3, 3, 3, 4, 3]
+        with memo_scope():  # a nested scope starts empty and leaves the outer one
+            assert square(3) == 9
+        assert square(3) == 9
+        assert calls == [3, 3, 3, 4, 3, 3]
+    assert core._memo.table is None
+    with pytest.raises(ZeroDivisionError):
+        with memo_scope():
+            square(1 / 0)
+    assert core._memo.table is None
+
+
+def test_memo_scope_is_per_thread():
+    seen = []
+    with memo_scope():
+        worker = threading.Thread(target=lambda: seen.append(core._memo.table))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert core._memo.table == {}
+    assert seen == [None]
+
+
+def test_memoized_functions_do_not_share_entries():
+    @memoized
+    def double(x):
+        return 2 * x
+
+    @memoized
+    def triple(x):
+        return 3 * x
+
+    with memo_scope():
+        assert (double(5), triple(5), double(5), triple(5)) == (10, 15, 10, 15)
+        assert len(core._memo.table) == 2
+
+
+def test_memo_keys_compare_names():
+    M = cyclic_monoid(1, 2)
+    N = validate_monoid(M.table, names=["u", "v", "w"])
+    with memo_scope():
+        assert primes_bruteforce(M).owner.names == M.names
+        assert primes_bruteforce(N).owner.names == ("u", "v", "w")
+        assert sl_reflection(N)[1].source.names == ("u", "v", "w")
+        # an unhashable argument has no key and is computed each time
+        assert free_semilattice(1, names=["x"]).names == ("{}", "{x}")

@@ -62,6 +62,19 @@ def test_parse_error_columns_count_leading_spaces():
         assert info.value.column == column, rels
 
 
+def test_parse_empty_rels_line_has_no_relations():
+    for rels in ("rels:", "rels:   ", "  rels:\t"):
+        assert parse_presentation("gens: x y\n" + rels) == Presentation(("x", "y"), ())
+
+
+def test_parse_empty_relation_between_separators():
+    for rels, column in (("rels: x = x;; x = 1", 13), ("rels: x = x; ;x = 1", 13),
+                         ("rels: ; x = x", 6), ("rels: x = x;", 13)):
+        with pytest.raises(ParseError, match="empty relation") as info:
+            parse_presentation("gens: x\n" + rels)
+        assert (info.value.line, info.value.column) == (2, column), rels
+
+
 def test_free_semilattice_small():
     assert free_semilattice(1).monoid.table == sierpinski().table
     assert free_semilattice(0).size == 1

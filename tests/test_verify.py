@@ -3,14 +3,18 @@
 Under a brute-force fault that fails only the 3-element tables, the suites
 must count exactly what a plain per-item loop counts, and renaming every
 element leaves every suite's counts unchanged: verdicts read tables, not
-names, which is what makes keying them by table sound.
+names, which is what makes keying them by table sound.  One `run_all` shares
+a memo that it drops when it returns or raises, hands out values no caller
+can change, and never hides a patched route.
 """
 
-from dataclasses import replace
+import contextlib
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
-from monospec import limits, spectrum, topology, verify
+from monospec import core, limits, spectrum, topology, verify
+from monospec.cli import main
 from monospec.core import FiniteMonoid
 from monospec.corpus import (
     corpus_join_morphisms,
@@ -90,3 +94,74 @@ def test_names_do_not_change_verdicts(size3_fault):
         assert check(*map(_renamed, corpora)) == result
         failing += result[1] > 0
     assert failing >= 5
+
+
+def _frozen(value) -> bool:
+    """True when nothing reachable from value can be changed in place."""
+    if isinstance(value, (bool, int, str, type(None))):
+        return True
+    if isinstance(value, (tuple, frozenset)):
+        return all(map(_frozen, value))
+    if is_dataclass(value) and type(value).__dataclass_params__.frozen:
+        return all(_frozen(getattr(value, f.name)) for f in fields(value))
+    return False
+
+
+@pytest.fixture
+def run_memos(monkeypatch):
+    """The memo of every `run_all` scope, recorded as the scope opens."""
+    memos = []
+
+    @contextlib.contextmanager
+    def recording_scope():
+        with core.memo_scope():
+            memos.append(core._memo.table)
+            yield
+
+    monkeypatch.setattr(verify, "memo_scope", recording_scope)
+    return memos
+
+
+def test_run_all_drops_its_memo(run_memos, monkeypatch):
+    verify.run_all(0, quick=True)
+    assert core._memo.table is None
+    assert len(run_memos) == 1 and run_memos[0]
+
+    def raising(monoids):
+        assert core._memo.table is run_memos[1]
+        raise RuntimeError("suite crashed")
+
+    monkeypatch.setattr(verify, "check_theta", raising)
+    with pytest.raises(RuntimeError, match="suite crashed"):
+        verify.run_all(0, quick=True)
+    assert core._memo.table is None
+    assert len(run_memos) == 2
+
+
+def test_memo_hands_out_values_no_caller_can_change(run_memos):
+    verify.run_all(0, quick=True)
+    names = {fn.__name__ for fn, *_ in run_memos[0]}
+    assert "_monoid_sequence" in names
+    for (fn, *_), value in run_memos[0].items():
+        assert fn.__name__ == "_monoid_sequence" or _frozen(value), fn.__name__
+    # the corpus comes from a sequence that only grows; each read is a new list
+    expected = corpus_monoids(0, count=30, max_size=8)
+    assert len(expected) == 30 and corpus_monoids(0, 80, 8)[:30] == expected
+    with core.memo_scope():
+        corpus_monoids(0, count=30, max_size=8).clear()
+        assert corpus_monoids(0, count=30, max_size=8) == expected
+        assert corpus_monoids(0, count=80, max_size=8)[:30] == expected
+
+
+def test_brute_fault_fails_verify_through_the_cli(monkeypatch, capsys):
+    """A patched route binding is seen inside the run's memo scope."""
+    valid = spectrum.primes_bruteforce
+
+    def faulty(M, *args, **kwargs):
+        S = valid(M, *args, **kwargs)
+        return replace(S, points=S.points[:-1])
+
+    monkeypatch.setattr(spectrum, "primes_bruteforce", faulty)
+    assert main(["verify", "--seed", "0"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL three-route agreement" in out.splitlines()[0]
