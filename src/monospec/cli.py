@@ -39,7 +39,7 @@ def _load(path: str, kind: str | None):
         else:
             raise InputError(f"cannot infer input kind from {path!r}; pass --kind")
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # files saved with a byte-order mark parse too
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not UTF-8 text ({e.reason})")
     if kind == "mon":

@@ -110,6 +110,16 @@ def test_unknown_extension(files, tmp_path, capsys):
     assert main(["spec", "--kind", "pres", str(f)]) == 0
 
 
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    for name in ("free3.mon", "abc.pres"):
+        f = tmp_path / name
+        f.write_bytes(b"\xef\xbb\xbf" + (DATA / name).read_bytes())
+        assert main(["spec", "--via", "all", str(DATA / name)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["spec", "--via", "all", str(f)]) == 0
+        assert capsys.readouterr().out == plain
+
+
 def test_sl_command(files, capsys):
     assert main(["sl", str(files / "z2.mon")]) == 0
     out = capsys.readouterr().out

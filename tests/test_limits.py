@@ -7,9 +7,9 @@ from monospec.corpus import chain_semilattice, corpus_semilattices, corpus_submo
 from monospec.errors import CapExceeded, ValidationError
 from monospec import limits
 from monospec.limits import (
+    InverseSystem,
     colimit_of_submonoid_chain,
     inverse_limit,
-    inverse_system,
     profinite_check,
     profinite_spec,
     profinite_system,
@@ -18,36 +18,26 @@ from monospec.limits import (
 )
 from monospec.presentation import free_semilattice
 from monospec.semilattice import from_monoid
+from monospec.spectrum import primes_bruteforce
 
 
-def test_inverse_system_validation():
-    with pytest.raises(ValidationError, match="missing transition"):
-        inverse_system([2, 2], [(0, 1)], {})
-    with pytest.raises(ValidationError, match="entries"):
-        inverse_system([2, 2], [(0, 1)], {(0, 1): (0,)})
-    with pytest.raises(ValidationError, match="compose"):
-        inverse_system(
-            [2, 2, 2],
-            [(0, 1), (1, 2), (0, 2)],
-            {(0, 1): (0, 1), (1, 2): (0, 1), (0, 2): (1, 0)},
-        )
-    # identity self-transitions are fine
-    inverse_system([2], [(0, 0)], {(0, 0): (0, 1)})
+def test_inverse_limit_identity_self_transition():
+    assert inverse_limit(InverseSystem([2], [(0, 0)], {(0, 0): (0, 1)})) == [(0,), (1,)]
 
 
 def test_inverse_limit_single_stage():
-    sys1 = inverse_system([3], [], {})
+    sys1 = InverseSystem([3], [], {})
     assert inverse_limit(sys1) == [(0,), (1,), (2,)]
 
 
 def test_inverse_limit_constant_map():
-    sys2 = inverse_system([1, 3], [(0, 1)], {(0, 1): (0, 0, 0)})
+    sys2 = InverseSystem([1, 3], [(0, 1)], {(0, 1): (0, 0, 0)})
     assert inverse_limit(sys2) == [(0, 0), (0, 1), (0, 2)]
 
 
 def test_inverse_limit_needs_a_greatest_stage():
     with pytest.raises(ValidationError, match="greatest stage"):
-        inverse_limit(inverse_system([2, 2], [], {}))
+        inverse_limit(InverseSystem([2, 2], [], {}))
 
 
 def test_colimit_of_chain():
@@ -72,6 +62,20 @@ def test_zg_on_free_semilattice_chain():
 def test_zg_trivial_chain():
     assert zg_check(sierpinski(), [frozenset({0}), frozenset({0, 1})])
     assert zg_check(validate_monoid([[0]]), [frozenset({0})])
+
+
+def test_zg_computes_each_spectrum_once(monkeypatch):
+    """The union is the last stage, so its primes are not computed again."""
+    calls = []
+
+    def counting(M, *args, **kwargs):
+        calls.append(M.size)
+        return primes_bruteforce(M, *args, **kwargs)
+
+    monkeypatch.setattr(limits, "primes_bruteforce", counting)
+    F = free_semilattice(2).monoid
+    assert zg_check(F, [frozenset({0}), frozenset({0, 1}), frozenset(range(4))])
+    assert calls == [1, 2, 4]
 
 
 def test_zg_on_corpus_chains():
@@ -128,10 +132,10 @@ def test_inverse_limit_checks_relations_off_the_tree():
     (1, 3), (2, 3) and (0, 1); a fault in (0, 2) shows only in the check."""
     relations = [(0, 1), (0, 2), (1, 3), (2, 3)]
     maps = {(0, 1): (0, 0, 1), (0, 2): (0, 0, 1), (1, 3): (0, 1, 2), (2, 3): (0, 1, 2)}
-    coherent = inverse_limit(inverse_system([2, 3, 3, 3], relations, maps))
+    coherent = inverse_limit(InverseSystem([2, 3, 3, 3], relations, maps))
     assert coherent == [(0, 0, 0, 0), (0, 1, 1, 1), (1, 2, 2, 2)]
     maps[(0, 2)] = (0, 1, 1)  # top point 1 reaches stage 0 as 0 via stage 1, as 1 via stage 2
-    assert inverse_limit(inverse_system([2, 3, 3, 3], relations, maps)) == [
+    assert inverse_limit(InverseSystem([2, 3, 3, 3], relations, maps)) == [
         (0, 0, 0, 0), (1, 2, 2, 2)]
 
 
@@ -148,17 +152,17 @@ def test_profinite_free_semilattice_4():
 
 def test_wrong_transition_is_caught(monkeypatch):
     """Changing one entry of one transition makes both checks fail."""
-    valid_system = limits.inverse_system
+    valid_limit = limits.inverse_limit
 
-    def faulty(sizes, relations, maps):
-        maps = dict(maps)
-        rel = next(r for r in relations if r[0] != r[1] and sizes[r[0]] >= 2)
+    def faulty(system):
+        sizes, maps = system.sizes, dict(system.maps)
+        rel = next(r for r in system.relations if r[0] != r[1] and sizes[r[0]] >= 2)
         t = list(maps[rel])
         t[0] = (t[0] + 1) % sizes[rel[0]]
         maps[rel] = tuple(t)
-        return valid_system(sizes, relations, maps)
+        return valid_limit(InverseSystem(sizes, system.relations, maps))
 
-    monkeypatch.setattr(limits, "inverse_system", faulty)
+    monkeypatch.setattr(limits, "inverse_limit", faulty)
     for L in (free_semilattice(2), chain_semilattice(3), free_semilattice(3)):
         assert not profinite_check(L)
     F = free_semilattice(2).monoid
