@@ -26,7 +26,6 @@ from .spectrum import (
     spectrum_monoid,
 )
 from .topology import format_opens, ideal_opens
-from .verify import mutation_detected, run_all
 
 
 def _load(path: str, kind: str | None):
@@ -141,6 +140,9 @@ def cmd_adjoint(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the suites and corpora load here, so no other command pays for them
+    from .verify import mutation_detected, run_all
+
     if args.mutate:
         detected = mutation_detected(args.seed)
         print("mutation detected" if detected else "mutation NOT detected")

@@ -7,15 +7,14 @@ The reflection is computed two independent ways: as the congruence closure of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import FiniteMonoid, MonoidMap, memoized
 from .errors import IntegrityError, ValidationError
 from .semilattice import JoinSemilattice, from_monoid
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(NamedTuple):
     """A multiplication-compatible partition; classes sorted by least member."""
 
     owner: FiniteMonoid
@@ -38,12 +37,13 @@ def _congruence_from_class_of(M: FiniteMonoid, class_of) -> Congruence:
 
 
 def _check_compatible(C: Congruence) -> None:
-    M = C.owner
+    M, class_of = C.owner, C.class_of
+    table = M.table
     for cls in C.classes:
         a = cls[0]
         for b in cls[1:]:
             for c in M.elements():
-                if C.class_of[M.table[a][c]] != C.class_of[M.table[b][c]]:
+                if class_of[table[a][c]] != class_of[table[b][c]]:
                     raise IntegrityError(
                         f"partition is not a congruence: {a} ~ {b} but "
                         f"{a}*{c} and {b}*{c} fall in different classes"
@@ -77,6 +77,7 @@ def congruence_closure(M: FiniteMonoid, pairs) -> Congruence:
     Union-find with a worklist: merging (a, b) enqueues (a*c, b*c) for every c.
     """
     uf = _UnionFind(M.size)
+    table = M.table
     work = [(a, b) for a, b in pairs]
     while work:
         a, b = work.pop()
@@ -84,8 +85,7 @@ def congruence_closure(M: FiniteMonoid, pairs) -> Congruence:
         if ra == rb:
             continue
         uf.union(ra, rb)
-        for c in M.elements():
-            work.append((M.table[ra][c], M.table[rb][c]))
+        work.extend(zip(table[ra], table[rb]))  # (ra*c, rb*c) for every c
     return _congruence_from_class_of(M, [uf.find(x) for x in M.elements()])
 
 
@@ -98,8 +98,9 @@ def quotient(M: FiniteMonoid, C: Congruence) -> tuple[FiniteMonoid, MonoidMap]:
     if C.owner is not M and C.owner != M:
         raise ValidationError("congruence belongs to a different monoid")
     reps = [cls[0] for cls in C.classes]
+    class_of, mt = C.class_of, M.table
     table = tuple(
-        tuple(C.class_of[M.table[a][b]] for b in reps) for a in reps
+        tuple(class_of[mt[a][b]] for b in reps) for a in reps
     )
     if len(reps) == M.size:
         names = M.names

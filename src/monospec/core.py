@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache, wraps
+from typing import NamedTuple
 
 from .errors import CapExceeded, ParseError, ValidationError
 
@@ -77,8 +77,7 @@ def memoized(fn):
     return wrapper
 
 
-@dataclass(frozen=True)
-class FiniteMonoid:
+class FiniteMonoid(NamedTuple):
     """A commutative monoid given by its full multiplication table.
 
     Construct through `validate_monoid`; direct construction skips the law
@@ -106,8 +105,7 @@ class FiniteMonoid:
         return range(len(self.table))
 
 
-@dataclass(frozen=True)
-class MonoidMap:
+class MonoidMap(NamedTuple):
     """A map between monoids given element-wise; see `is_hom` for the laws."""
 
     source: FiniteMonoid
@@ -188,7 +186,8 @@ def trivial_monoid() -> FiniteMonoid:
 
 def is_idempotent(M: FiniteMonoid) -> bool:
     """True iff x*x = x for every element."""
-    return all(M.table[i][i] == i for i in M.elements())
+    table = M.table
+    return all(table[i][i] == i for i in M.elements())
 
 
 def units(M: FiniteMonoid) -> frozenset[int]:

@@ -11,6 +11,7 @@ from itertools import islice
 
 from .congruence import congruence_closure, quotient, sl_reflection
 from .core import (
+    SUBSET_CAP,
     FiniteMonoid,
     direct_product,
     memoized,
@@ -158,10 +159,12 @@ def corpus_presentations(seed: int, count: int = 60, max_gens: int = 6,
             rels.append((u, v))
         P = Presentation(tuple(f"g{i + 1}" for i in range(k)), tuple(rels))
         try:
-            sl_of_presentation(P, max_reflection)
+            # the cap `spec_presentation` passes, so a run's memo serves both
+            L, _ = sl_of_presentation(P, SUBSET_CAP)
         except CapExceeded:
             continue
-        out.append(P)
+        if L.size <= max_reflection:
+            out.append(P)
     return out
 
 

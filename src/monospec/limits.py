@@ -11,8 +11,8 @@ shape by construction; a wrong map value fails coherence in `inverse_limit`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .core import FiniteMonoid, enforce_cap, is_submonoid, submonoid_as_monoid
 from .errors import ValidationError
@@ -20,8 +20,7 @@ from .semilattice import JoinSemilattice
 from .spectrum import alpha, canonical_key, primes_bruteforce
 
 
-@dataclass
-class InverseSystem:
+class InverseSystem(NamedTuple):
     """Finite point sets per stage with transition maps toward smaller stages.
 
     `relations` holds pairs (low, high), the keys of `maps`, unchecked;
@@ -76,8 +75,9 @@ def inverse_limit(system: InverseSystem) -> list[tuple[int, ...]]:
     return sorted(families)
 
 
-def colimit_of_submonoid_chain(ambient: FiniteMonoid, chain) -> tuple[FiniteMonoid, dict[int, int]]:
-    """The union of an increasing chain of submonoids, as a monoid of its own."""
+def _checked_chain(ambient: FiniteMonoid, chain) -> list[frozenset[int]]:
+    """The chain's stages as frozensets; raises ValidationError unless it is
+    a nonempty increasing chain of submonoids of `ambient`."""
     chain = [frozenset(s) for s in chain]
     if not chain:
         raise ValidationError("empty chain")
@@ -88,7 +88,12 @@ def colimit_of_submonoid_chain(ambient: FiniteMonoid, chain) -> tuple[FiniteMono
         if prev is not None and not prev <= stage:
             raise ValidationError(f"chain is not increasing at stage {k}")
         prev = stage
-    return submonoid_as_monoid(ambient, chain[-1])
+    return chain
+
+
+def colimit_of_submonoid_chain(ambient: FiniteMonoid, chain) -> tuple[FiniteMonoid, dict[int, int]]:
+    """The union of an increasing chain of submonoids, as a monoid of its own."""
+    return submonoid_as_monoid(ambient, _checked_chain(ambient, chain)[-1])
 
 
 def _restrict(p, ambient_of, stage) -> int | None:
@@ -125,9 +130,7 @@ def zg_check(ambient: FiniteMonoid, chain) -> bool:
     A prime whose restriction to some stage is not a point of that stage's
     spectrum fails the check.
     """
-    chain = [frozenset(s) for s in chain]
-    colimit_of_submonoid_chain(ambient, chain)  # only to reject a chain that is not one
-    stages, maps = _stage_spectra(ambient, chain)
+    stages, maps = _stage_spectra(ambient, _checked_chain(ambient, chain))
     if maps is None:
         return False
     system = InverseSystem([len(position) for _, position in stages], list(maps), maps)
@@ -194,6 +197,7 @@ def profinite_system(L: JoinSemilattice) -> tuple[list[tuple[int, ...]], Inverse
     """
     stages = subsemilattices(L)
     index = {sum(1 << x for x in s): k for k, s in enumerate(stages)}
+    join, leq = L.join, L.leq
     maps = {}
     for mask, j in index.items():
         high = stages[j]
@@ -202,7 +206,7 @@ def profinite_system(L: JoinSemilattice) -> tuple[list[tuple[int, ...]], Inverse
             if i is not None:
                 low = stages[i]
                 t = [k - (y > x) for k, y in enumerate(high)]  # positions in high less x
-                t[high.index(x)] = low.index(reduce(L.join, [s for s in low if L.leq[s][x]]))
+                t[high.index(x)] = low.index(reduce(join, [s for s in low if leq[s][x]]))
                 maps[(i, j)] = tuple(t)
     return stages, InverseSystem([len(s) for s in stages], sorted(maps), maps)
 
@@ -230,7 +234,8 @@ def profinite_check(L: JoinSemilattice) -> bool:
     stages, families, evaluations = profinite_spec(L)
     if len(families) != L.size or len(set(evaluations)) != len(evaluations):
         return False
-    down = [sum(1 << s for s in L.elements() if L.leq[s][a]) for a in L.elements()]
+    leq = L.leq
+    down = [sum(1 << s for s in L.elements() if leq[s][a]) for a in L.elements()]
     masks = [sum(1 << s for s in S) for S in stages]
     if not all(down[a] & m == down[S[k]] & m
                for fam, a in zip(families, evaluations)

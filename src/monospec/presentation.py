@@ -12,8 +12,8 @@ bitmasks; the free semilattice itself is never built for it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .core import SUBSET_CAP, FiniteMonoid, enforce_cap, memoized
 from .errors import IntegrityError, ParseError
@@ -23,8 +23,7 @@ _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _FACTOR = re.compile(r"([A-Za-z][A-Za-z0-9_]*)\s*(\^\s*(-?\d+))?")
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     generators: tuple[str, ...]
     relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
@@ -169,6 +168,7 @@ def _horn_closure(x: int, rules) -> int:
         x = y
 
 
+@memoized
 def sl_of_presentation(P: Presentation,
                        cap: int = SUBSET_CAP) -> tuple[JoinSemilattice, tuple[int, ...]]:
     """Reflection of the presented monoid, plus the images of the generators.

@@ -7,15 +7,14 @@ the least upper bound.  By finiteness every such semilattice is a lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .core import FiniteMonoid, is_idempotent, memoized
 from .errors import IntegrityError, ValidationError
 
 
-@dataclass(frozen=True)
-class JoinSemilattice:
+class JoinSemilattice(NamedTuple):
     monoid: FiniteMonoid
     leq: tuple[tuple[bool, ...], ...]
 
@@ -37,8 +36,7 @@ class JoinSemilattice:
         return range(self.monoid.size)
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
+class MonotoneMap(NamedTuple):
     """An order-preserving map between join semilattices."""
 
     source: JoinSemilattice
@@ -51,7 +49,8 @@ def from_monoid(M: FiniteMonoid) -> JoinSemilattice:
     if not is_idempotent(M):
         bad = next(i for i in M.elements() if M.table[i][i] != i)
         raise ValidationError(f"not idempotent: element {bad} has {bad}*{bad} = {M.table[bad][bad]}")
-    leq = tuple(tuple(M.table[x][y] == y for y in M.elements()) for x in M.elements())
+    table = M.table
+    leq = tuple(tuple(table[x][y] == y for y in M.elements()) for x in M.elements())
     # reflexivity, antisymmetry and transitivity follow from the monoid laws
     return JoinSemilattice(M, leq)
 
@@ -108,11 +107,11 @@ def is_join_morphism(f: MonotoneMap) -> bool:
     """Preserves the least element and binary joins."""
     if f.images[0] != 0:
         return False
-    src, tgt, im = f.source, f.target, f.images
+    src, tgt, im = f.source.monoid.table, f.target.monoid.table, f.images
     return all(
-        im[src.join(a, b)] == tgt.join(im[a], im[b])
-        for a in src.elements()
-        for b in src.elements()
+        im[src[a][b]] == tgt[im[a]][im[b]]
+        for a in range(len(src))
+        for b in range(len(src))
     )
 
 

@@ -9,8 +9,8 @@ downset-complement bijection on the idempotent reflection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .congruence import sl_reflection
 from .core import (
@@ -46,8 +46,7 @@ def canonical_key(members: frozenset[int]):
     return (len(members), tuple(sorted(members)))
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """All prime ideals of a monoid, as a monoid under union.
 
     Points are canonically ordered by cardinality then membership; the union
@@ -120,7 +119,8 @@ def primes_bruteforce(M: FiniteMonoid, cap: int = SUBSET_CAP) -> Spectrum:
 
 def theta(f: MonoidMap) -> frozenset[int]:
     """The prime f^{-1}(absorbing element)."""
-    return frozenset(x for x in f.source.elements() if f.images[x] == 1)
+    images = f.images
+    return frozenset(x for x in f.source.elements() if images[x] == 1)
 
 
 def theta_inverse(M: FiniteMonoid, members) -> MonoidMap:
@@ -134,7 +134,8 @@ def theta_inverse(M: FiniteMonoid, members) -> MonoidMap:
 
 def alpha(L: JoinSemilattice, a: int) -> frozenset[int]:
     """The prime complementary to the downset of a."""
-    return frozenset(x for x in L.elements() if not L.leq[x][a])
+    leq = L.leq
+    return frozenset(x for x in L.elements() if not leq[x][a])
 
 
 def beta(L: JoinSemilattice, members) -> int:
@@ -151,9 +152,10 @@ def spec_monoid(M: FiniteMonoid, cap: int = SUBSET_CAP) -> Spectrum:
     L, q = sl_reflection(M)
     enforce_cap("reflection size", L.size, cap)
     points = []
+    images = q.images
     for a in L.elements():
         pa = alpha(L, a)
-        points.append(frozenset(x for x in M.elements() if q.images[x] in pa))
+        points.append(frozenset(x for x in M.elements() if images[x] in pa))
     return build_spectrum(M, points)
 
 

@@ -6,7 +6,7 @@ canonical order: by cardinality, then lexicographic membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import SUBSET_CAP, FiniteMonoid, enforce_cap, monoid_homs, sierpinski
 from .errors import ValidationError
@@ -20,8 +20,7 @@ from .spectrum import (
 )
 
 
-@dataclass(frozen=True)
-class FiniteTopology:
+class FiniteTopology(NamedTuple):
     """An open-set family over points 0..size-1, saturated and canonical."""
 
     size: int

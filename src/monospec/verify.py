@@ -10,10 +10,10 @@ items of the nine suites besides the adjoint one are 2450 distinct tables out
 of 5205 (4135 of 7125 with the adjoint suite's maps and pairs).  `run_all`
 builds the corpora of the CLI `verify` command from a seed and runs every
 suite over them inside one `core.memo_scope`: the run shares its corpora and
-the values derived from them (brute spectra, reflections, homs, meet tables,
-chains, cyclic and free monoids), each built once, and nothing outlives the
-run.  The acceptance tests build their own corpora and call the same
-`check_*` functions.
+the values derived from them (brute spectra, reflections of tables and of
+presentations, homs, meet tables, chains, cyclic and free monoids), each
+built once, and nothing outlives the run.  The acceptance tests build their
+own corpora and call the same `check_*` functions.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .corpus import (
 )
 from .errors import HypothesisError, ValidationError
 from .limits import profinite_check, zg_check
-from .presentation import free_semilattice, subsets_in_order, support
+from .presentation import Presentation, free_semilattice, subsets_in_order, support
 from .semilattice import (
     JoinSemilattice,
     MonotoneMap,
@@ -112,11 +112,13 @@ def _key(item):
         return item.monoid.table
     if isinstance(item, MonotoneMap):
         return _key(item.source), _key(item.target), item.images
+    if isinstance(item, Presentation):
+        # by value, ahead of the tuple branch: `free_quotient` compares generator names
+        return item
     if isinstance(item, (tuple, list)):
         return tuple(map(_key, item))
     if isinstance(item, (set, frozenset)):
         return frozenset(item)
-    # a Presentation by value: `free_quotient` compares generator names
     return item
 
 

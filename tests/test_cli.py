@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 from time import perf_counter
 
@@ -187,3 +190,20 @@ def test_golden_output(name, command, capsys):
     """stdout equals the text in tests/golden; every golden case exits 0."""
     assert main(GOLDEN_COMMANDS[command] + [str(DATA / name)]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.{command}.out").read_text()
+
+
+def test_cli_import_leaves_the_suites_unloaded():
+    """`import monospec.cli` newly loads no verify suite, corpus or dataclasses.
+
+    Only the modules the import adds count, so a module that the interpreter
+    loads at start-up (from a .pth file, say) cannot fail this test.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; before = set(sys.modules); import monospec.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    loaded = set(result.stdout.split())
+    assert "monospec.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "monospec.verify", "monospec.corpus"})

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from monospec import core
-from monospec.congruence import sl_reflection
+from monospec.congruence import congruence_closure, sl_reflection
 from monospec.core import (
     MonoidMap,
     direct_product,
@@ -25,8 +25,11 @@ from monospec.core import (
 )
 from monospec.corpus import chain_semilattice, corpus_monoids, cyclic_monoid
 from monospec.errors import ParseError, ValidationError
-from monospec.presentation import free_semilattice
+from monospec.limits import profinite_system
+from monospec.presentation import free_semilattice, parse_presentation
+from monospec.semilattice import monotone_map
 from monospec.spectrum import primes_bruteforce
+from monospec.topology import ideal_opens
 
 
 def z2():
@@ -229,3 +232,39 @@ def test_memo_keys_compare_names():
         assert sl_reflection(N)[1].source.names == ("u", "v", "w")
         # an unhashable argument has no key and is computed each time
         assert free_semilattice(1, names=["x"]).names == ("{}", "{x}")
+
+
+def _records():
+    """One value of each record type."""
+    M, L = z2(), chain_semilattice(3)
+    return [
+        M,
+        MonoidMap(M, sierpinski(), (0, 0)),
+        congruence_closure(M, [(0, 1)]),
+        parse_presentation("gens: x y\nrels: x = y^2\n"),
+        L,
+        monotone_map(L, L, (0, 2, 2)),
+        primes_bruteforce(M),
+        ideal_opens(L),
+        profinite_system(L)[1],
+    ]
+
+
+def test_records_are_immutable_values():
+    """Records hash and compare as the tuple of their fields, refuse assignment,
+    and `_replace` gives an equal copy."""
+    records = _records()
+    assert len({type(r) for r in records}) == 9
+    for r in records:
+        if type(r).__name__ == "InverseSystem":
+            with pytest.raises(TypeError):  # its maps are a dict
+                hash(r)
+        else:
+            assert hash(r) == hash(tuple(r)) == hash(type(r)(*r))
+        assert r == tuple(r) and type(r)(*r) == r
+        first = r._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(r, first, getattr(r, first))
+        copy = r._replace(**{first: getattr(r, first)})
+        assert copy == r and type(copy) is type(r)
+        assert repr(r).startswith(f"{type(r).__name__}({first}=")

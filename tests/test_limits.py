@@ -2,7 +2,7 @@ from time import perf_counter
 
 import pytest
 
-from monospec.core import sierpinski, submonoid_closure, validate_monoid
+from monospec.core import sierpinski, submonoid_as_monoid, submonoid_closure, validate_monoid
 from monospec.corpus import chain_semilattice, corpus_semilattices, corpus_submonoid_chains
 from monospec.errors import CapExceeded, ValidationError
 from monospec import limits
@@ -76,6 +76,35 @@ def test_zg_computes_each_spectrum_once(monkeypatch):
     F = free_semilattice(2).monoid
     assert zg_check(F, [frozenset({0}), frozenset({0, 1}), frozenset(range(4))])
     assert calls == [1, 2, 4]
+
+
+def test_zg_builds_each_stage_monoid_once(monkeypatch):
+    """The union is the last stage, so no stage monoid is built twice."""
+    built = []
+
+    def counting(M, S):
+        built.append(frozenset(S))
+        return submonoid_as_monoid(M, S)
+
+    monkeypatch.setattr(limits, "submonoid_as_monoid", counting)
+    F = free_semilattice(2).monoid
+    chain = [frozenset({0}), frozenset({0, 1}), frozenset(range(4))]
+    assert zg_check(F, chain)
+    assert built == chain
+    for M, stages in corpus_submonoid_chains(21, count=10):
+        built.clear()
+        assert zg_check(M, stages)
+        assert built == [frozenset(s) for s in stages]
+
+
+def test_zg_rejects_a_chain_that_is_not_one():
+    F = free_semilattice(2).monoid
+    with pytest.raises(ValidationError, match="empty chain"):
+        zg_check(F, [])
+    with pytest.raises(ValidationError, match="stage 1 is not a submonoid"):
+        zg_check(F, [frozenset({0}), frozenset({1})])
+    with pytest.raises(ValidationError, match="chain is not increasing at stage 1"):
+        zg_check(F, [frozenset({0, 1}), frozenset({0})])
 
 
 def test_zg_on_corpus_chains():

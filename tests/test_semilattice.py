@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from monospec import verify
@@ -148,7 +146,7 @@ def test_adjoint_fault_is_caught(monkeypatch):
         g = valid(f)
         if f is not wrong:
             return g
-        return replace(g, images=((g.images[0] + 1) % g.target.size,) + g.images[1:])
+        return g._replace(images=((g.images[0] + 1) % g.target.size,) + g.images[1:])
 
     monkeypatch.setattr(verify, "right_adjoint", faulty)
     _, fails, _ = verify.check_adjoints(maps)

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -78,7 +77,7 @@ def _drop_last_point(monkeypatch, module):
 
     def faulty(M, *args, **kwargs):
         S = valid(M, *args, **kwargs)
-        return replace(S, points=S.points[:-1])
+        return S._replace(points=S.points[:-1])
 
     monkeypatch.setattr(module, "primes_bruteforce", faulty)
 
@@ -117,7 +116,7 @@ def test_build_spectrum_fault_is_caught(monkeypatch, capsys):
 
     def faulty(M, points):
         S = valid(M, points)
-        return replace(S, points=S.points[:-1])
+        return S._replace(points=S.points[:-1])
 
     monkeypatch.setattr(spectrum, "build_spectrum", faulty)
     assert _routes_disagree(capsys) == (20, 20)
@@ -135,7 +134,7 @@ def test_brute_fault_fails_topology_checks(monkeypatch):
 
     def swapped(M, *args, **kwargs):
         S = valid(M, *args, **kwargs)
-        return replace(S, points=S.points[:-1] + (S.points[-1] | {0},))
+        return S._replace(points=S.points[:-1] + (S.points[-1] | {0},))
 
     monkeypatch.setattr(topology, "primes_bruteforce", swapped)
     M = L.monoid

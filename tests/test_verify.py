@@ -9,13 +9,12 @@ can change, and never hides a patched route.
 """
 
 import contextlib
-from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
 from monospec import core, limits, spectrum, topology, verify
 from monospec.cli import main
-from monospec.core import FiniteMonoid
+from monospec.core import SUBSET_CAP, FiniteMonoid
 from monospec.corpus import (
     corpus_join_morphisms,
     corpus_monoids,
@@ -35,7 +34,7 @@ def size3_fault(monkeypatch):
 
     def faulty(M, *args, **kwargs):
         S = valid(M, *args, **kwargs)
-        return replace(S, points=S.points[:-1]) if M.size == 3 else S
+        return S._replace(points=S.points[:-1]) if M.size == 3 else S
 
     for module in (spectrum, verify, topology, limits):
         monkeypatch.setattr(module, "primes_bruteforce", faulty)
@@ -59,13 +58,13 @@ def test_counts_match_a_per_item_loop(size3_fault):
 def _renamed(item):
     """`item` with every element named m0, m1, ... and generators x0, x1, ..."""
     if isinstance(item, FiniteMonoid):
-        return replace(item, names=tuple(f"m{i}" for i in item.elements()))
+        return item._replace(names=tuple(f"m{i}" for i in item.elements()))
     if isinstance(item, JoinSemilattice):
-        return replace(item, monoid=_renamed(item.monoid))
+        return item._replace(monoid=_renamed(item.monoid))
     if isinstance(item, MonotoneMap):
-        return replace(item, source=_renamed(item.source), target=_renamed(item.target))
+        return item._replace(source=_renamed(item.source), target=_renamed(item.target))
     if isinstance(item, Presentation):
-        return replace(item, generators=tuple(f"x{i}" for i in range(len(item.generators))))
+        return item._replace(generators=tuple(f"x{i}" for i in range(len(item.generators))))
     if isinstance(item, (tuple, list)):
         return type(item)(map(_renamed, item))
     return item
@@ -100,10 +99,8 @@ def _frozen(value) -> bool:
     """True when nothing reachable from value can be changed in place."""
     if isinstance(value, (bool, int, str, type(None))):
         return True
-    if isinstance(value, (tuple, frozenset)):
+    if isinstance(value, (tuple, frozenset)):  # records are tuples of their fields
         return all(map(_frozen, value))
-    if is_dataclass(value) and type(value).__dataclass_params__.frozen:
-        return all(_frozen(getattr(value, f.name)) for f in fields(value))
     return False
 
 
@@ -153,13 +150,30 @@ def test_memo_hands_out_values_no_caller_can_change(run_memos):
         assert corpus_monoids(0, count=80, max_size=8)[:30] == expected
 
 
+def test_corpus_and_routes_share_presented_reflections():
+    """`corpus_presentations` reflects each candidate as `spec_presentation` does,
+    so inside one scope the route suite reuses every accepted reflection."""
+    with core.memo_scope():
+        presentations = corpus_presentations(0, count=30)
+        memo = core._memo.table
+
+        def reflected():
+            return {args for fn, args, *_ in memo if fn.__name__ == "sl_of_presentation"}
+
+        before = reflected()
+        # every one past the fixed first presentation was drawn and reflected
+        assert {(P, SUBSET_CAP) for P in presentations[1:]} <= before
+        assert verify.check_three_routes([], presentations)[1] == 0
+        assert reflected() - before == {(presentations[0], SUBSET_CAP)}
+
+
 def test_brute_fault_fails_verify_through_the_cli(monkeypatch, capsys):
     """A patched route binding is seen inside the run's memo scope."""
     valid = spectrum.primes_bruteforce
 
     def faulty(M, *args, **kwargs):
         S = valid(M, *args, **kwargs)
-        return replace(S, points=S.points[:-1])
+        return S._replace(points=S.points[:-1])
 
     monkeypatch.setattr(spectrum, "primes_bruteforce", faulty)
     assert main(["verify", "--seed", "0"]) == 2
