@@ -30,7 +30,6 @@ from .semilattice import (
     check_adjunction,
     from_monoid,
     left_adjoint,
-    meet,
     monotone_map,
     right_adjoint,
     top,

@@ -91,11 +91,6 @@ def _checked_chain(ambient: FiniteMonoid, chain) -> list[frozenset[int]]:
     return chain
 
 
-def colimit_of_submonoid_chain(ambient: FiniteMonoid, chain) -> tuple[FiniteMonoid, dict[int, int]]:
-    """The union of an increasing chain of submonoids, as a monoid of its own."""
-    return submonoid_as_monoid(ambient, _checked_chain(ambient, chain)[-1])
-
-
 def _restrict(p, ambient_of, stage) -> int | None:
     """The point of `stage`'s spectrum that the prime p cuts out of it.
 

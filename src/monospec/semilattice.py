@@ -60,26 +60,14 @@ def top(L: JoinSemilattice) -> int:
     return reduce(L.join, L.elements(), 0)
 
 
-def meet(L: JoinSemilattice, a: int, b: int) -> int:
-    """Greatest lower bound: the top of {x | x <= a and x <= b}.
-
-    The bound set contains the least element and is join-closed, so its join
-    stays inside it and is its maximum.
-    """
-    m = 0
-    for x in L.elements():
-        if L.leq[x][a] and L.leq[x][b]:
-            m = L.join(m, x)
-    return m
-
-
 @memoized
 def meet_table(L: JoinSemilattice) -> tuple[tuple[int, ...], ...]:
     """All binary meets: row a, column b holds the meet of a and b.
 
     With down[a] the downset of a as a bitmask, down[a] & down[b] is the set
     of common lower bounds, which in a lattice is the downset of the meet; so
-    each meet is a lookup instead of the O(n) scan of `meet`.
+    each meet is a lookup instead of an O(n) scan for the top of the common
+    lower bounds.
     """
     down = [sum(1 << x for x, row in enumerate(L.leq) if row[a]) for a in range(L.size)]
     element = {d: a for a, d in enumerate(down)}

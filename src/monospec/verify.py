@@ -1,19 +1,20 @@
 """Executable property suites and the seeded corpora the CLI runs them on.
 
-Each `check_*` takes the items it checks and returns (name, failures, total).
-The suites gather the property checkers, some written here and others beside
-the code they check (the theta and alpha topology checks in `topology`, the
-dual checks in `spectrum`, the limit checks in `limits`), and count the
-failures.  A suite is a per-item verdict that `count_failures` calls once per
-distinct table (see `_key`), counting every occurrence: at seeds 6-11 the
-items of the nine suites besides the adjoint one are 2450 distinct tables out
-of 5205 (4135 of 7125 with the adjoint suite's maps and pairs).  `run_all`
-builds the corpora of the CLI `verify` command from a seed and runs every
-suite over them inside one `core.memo_scope`: the run shares its corpora and
-the values derived from them (brute spectra, reflections of tables and of
-presentations, homs, meet tables, chains, cyclic and free monoids), each
-built once, and nothing outlives the run.  The acceptance tests build their
-own corpora and call the same `check_*` functions.
+`SUITES` maps each suite's key to its printed name and one per-item verdict
+per corpus, and `run_suite(key, *corpora)` returns (name, failures, total).
+The verdicts gather the property checkers, some written here and others
+beside the code they check (the theta and alpha topology checks in
+`topology`, the dual checks in `spectrum`, the limit checks in `limits`).
+`count_failures` calls a verdict once per distinct table (see `_key`),
+counting every occurrence: at seeds 6-11 the items of the nine suites besides
+the adjoint one are 2450 distinct tables out of 5205 (4135 of 7125 with the
+adjoint suite's maps and pairs).  `suite_corpora` selects each suite's
+corpora for the CLI `verify` command from a seed, and `run_all` builds them
+and runs every suite over them inside one `core.memo_scope`: the run shares
+its corpora and the values derived from them (brute spectra, reflections of
+tables and of presentations, homs, meet tables, chains, cyclic and free
+monoids), each built once, and nothing outlives the run.  The acceptance
+tests build their own corpora and call the same `run_suite`.
 """
 
 from __future__ import annotations
@@ -149,13 +150,6 @@ def presented_routes_agree(P) -> bool:
     return free_quotient(P) == (L.monoid, gen_images) and routes_agree(L.monoid)
 
 
-def check_three_routes(monoids, presentations):
-    """Route agreement; a presented reflection must also equal `free_quotient`."""
-    fails = count_failures(routes_agree, monoids)
-    fails += count_failures(presented_routes_agree, presentations)
-    return "three-route agreement", fails, len(monoids) + len(presentations)
-
-
 def theta_holds(M: FiniteMonoid) -> bool:
     """Hom/prime correspondence on M: monoid isomorphism plus homeomorphism."""
     ok = theta_homeo_check(M)
@@ -189,12 +183,6 @@ def theta_holds(M: FiniteMonoid) -> bool:
     return ok
 
 
-def check_theta(monoids):
-    """Hom/prime correspondence: monoid isomorphism plus homeomorphism."""
-    fails = count_failures(theta_holds, monoids)
-    return "hom/prime correspondence incl. topology", fails, len(monoids)
-
-
 def alpha_holds(L: JoinSemilattice) -> bool:
     """alpha is a bijection onto the primes that turns meets into unions."""
     ok = True
@@ -220,25 +208,10 @@ def alpha_holds(L: JoinSemilattice) -> bool:
     return ok
 
 
-def check_alpha_suite(lattices):
-    fails = count_failures(alpha_holds, lattices)
-    return "downset-complement bijection and topology transport", fails, len(lattices)
-
-
-def check_naturality(maps):
-    fails = count_failures(naturality_square, maps)
-    return "naturality of the spectrum bijection", fails, len(maps)
-
-
 def grillet_holds(M: FiniteMonoid) -> bool:
     a = grillet_relation(M)
     b = congruence_closure(M, [(x, M.table[x][x]) for x in M.elements()])
     return a.classes == b.classes
-
-
-def check_grillet(monoids):
-    fails = count_failures(grillet_holds, monoids)
-    return "power-divisibility congruence vs idempotent closure", fails, len(monoids)
 
 
 def power_submonoid_holds(pair) -> bool:
@@ -249,24 +222,13 @@ def power_submonoid_holds(pair) -> bool:
         return False
 
 
-def check_power_submonoid(pairs):
-    fails = count_failures(power_submonoid_holds, pairs)
-    return "power-submonoid spectrum bijection", fails, len(pairs)
-
-
 def duals_hold(L: JoinSemilattice) -> bool:
     return ev_check(L.monoid) and spec_spec_check(L) and spec_cubed_check(L.monoid)
 
 
-def check_duals(lattices):
-    fails = count_failures(duals_hold, lattices)
-    return "dualizing object and double spectrum", fails, len(lattices)
-
-
-def check_limits(chains, lattices):
-    fails = count_failures(lambda chain: zg_check(*chain), chains)
-    fails += count_failures(profinite_check, lattices)
-    return "colimit and profinite limits", fails, len(chains) + len(lattices)
+def zg_holds(chain) -> bool:
+    """`zg_check` on a corpus chain, which is (ambient monoid, stages)."""
+    return zg_check(*chain)
 
 
 def adjoint_holds(pair) -> bool:
@@ -283,16 +245,13 @@ def composition_holds(maps) -> bool:
     return right_adjoint(compose_monotone(f, h)).images == compose_monotone(gh, gf).images
 
 
-def check_adjoints(maps):
-    """Total counts the maps plus the composable pairs checked (at most 200)."""
-    adjoints = [right_adjoint(f) for f in maps]
-    fails = count_failures(adjoint_holds, zip(maps, adjoints))
-    # composition duality on the first 200 composable pairs
-    composable = list(islice(((f, gf, h, gh)
-                              for f, gf in zip(maps, adjoints)
-                              for h, gh in zip(maps, adjoints) if f.target == h.source), 200))
-    fails += count_failures(composition_holds, composable)
-    return "adjoint existence, round trip, duality", fails, len(maps) + len(composable)
+def adjoint_items(maps):
+    """The adjoint suite's corpora: each map with its right adjoint, and the
+    first 200 composable quadruples (f, g_f, h, g_h) of those pairs."""
+    pairs = [(f, right_adjoint(f)) for f in maps]
+    composable = list(islice(((f, gf, h, gh) for f, gf in pairs
+                              for h, gh in pairs if f.target == h.source), 200))
+    return pairs, composable
 
 
 def module_invariants_hold(M: FiniteMonoid) -> bool:
@@ -312,10 +271,50 @@ def module_invariants_hold(M: FiniteMonoid) -> bool:
     return ok
 
 
-def check_module_invariants(monoids):
-    """Smaller cross-module invariants: units, hom composition, reflection."""
-    fails = count_failures(module_invariants_hold, monoids)
-    return "core and reflection invariants", fails, len(monoids)
+#: key -> (printed name, one per-item verdict per corpus)
+SUITES = {
+    "three_routes": ("three-route agreement", routes_agree, presented_routes_agree),
+    "theta": ("hom/prime correspondence incl. topology", theta_holds),
+    "alpha_suite": ("downset-complement bijection and topology transport", alpha_holds),
+    "naturality": ("naturality of the spectrum bijection", naturality_square),
+    "grillet": ("power-divisibility congruence vs idempotent closure", grillet_holds),
+    "power_submonoid": ("power-submonoid spectrum bijection", power_submonoid_holds),
+    "duals": ("dualizing object and double spectrum", duals_hold),
+    "limits": ("colimit and profinite limits", zg_holds, profinite_check),
+    "adjoints": ("adjoint existence, round trip, duality", adjoint_holds, composition_holds),
+    "module_invariants": ("core and reflection invariants", module_invariants_hold),
+}
+
+
+def run_suite(key: str, *corpora):
+    """(name, failures, total) of suite `key`: each verdict judges its corpus."""
+    name, *verdicts = SUITES[key]
+    fails = sum(count_failures(holds, items) for holds, items in zip(verdicts, corpora, strict=True))
+    return name, fails, sum(map(len, corpora))
+
+
+def suite_corpora(seed: int = 0, quick: bool = False) -> dict:
+    """Each suite's corpora by key, in `SUITES` order, as `verify --seed`
+    (and `--quick`) selects them."""
+    scale = 1 if not quick else 4
+    lattices = corpus_semilattices(seed, count=40, max_size=10)
+    join_maps = [f for f in corpus_join_morphisms(seed, count=120 // scale) if is_join_morphism(f)]
+    # the corpus is a seeded sequence, so a shorter one is a prefix of this
+    monoids = corpus_monoids(seed, count=150, max_size=10)
+    return {
+        "three_routes": (monoids[:150 // scale],
+                         corpus_presentations(seed, count=60 // scale, max_gens=6)),
+        "theta": ([M for M in monoids[:120] if M.size <= 8],),
+        "alpha_suite": (lattices,),
+        "naturality": (join_maps,),
+        "grillet": ([M for M in monoids if M.size <= 7],),
+        "power_submonoid": (corpus_power_pairs(seed, count=60 // scale),),
+        "duals": ([L for L in lattices if L.size <= 8],),
+        "limits": (corpus_submonoid_chains(seed, count=60 // scale),
+                   [L for L in corpus_semilattices(seed, count=40, max_size=8) if L.size <= 8]),
+        "adjoints": adjoint_items(join_maps),
+        "module_invariants": (corpus_monoids(seed, count=60, max_size=8),),
+    }
 
 
 def run_all(seed: int = 0, quick: bool = False):
@@ -324,28 +323,8 @@ def run_all(seed: int = 0, quick: bool = False):
     The run is one `memo_scope`: its corpora, spectra, reflections and homs
     are each built once, and dropped when the run returns or raises.
     """
-    scale = 1 if not quick else 4
     with memo_scope():
-        lattices = corpus_semilattices(seed, count=40, max_size=10)
-        join_maps = [f for f in corpus_join_morphisms(seed, count=120 // scale)
-                     if is_join_morphism(f)]
-        # the corpus is a seeded sequence, so a shorter one is a prefix of this
-        monoids = corpus_monoids(seed, count=150, max_size=10)
-        return [
-            check_three_routes(monoids[:150 // scale],
-                               corpus_presentations(seed, count=60 // scale, max_gens=6)),
-            check_theta([M for M in monoids[:120] if M.size <= 8]),
-            check_alpha_suite(lattices),
-            check_naturality(join_maps),
-            check_grillet([M for M in monoids if M.size <= 7]),
-            check_power_submonoid(corpus_power_pairs(seed, count=60 // scale)),
-            check_duals([L for L in lattices if L.size <= 8]),
-            check_limits(corpus_submonoid_chains(seed, count=60 // scale),
-                         [L for L in corpus_semilattices(seed, count=40, max_size=8)
-                          if L.size <= 8]),
-            check_adjoints(join_maps),
-            check_module_invariants(corpus_monoids(seed, count=60, max_size=8)),
-        ]
+        return [run_suite(key, *corpora) for key, corpora in suite_corpora(seed, quick).items()]
 
 
 def mutation_detected(seed: int = 0) -> bool:

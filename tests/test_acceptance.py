@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  All checks are exact; the corpora are seeded and deterministic.  The
-properties are the `check_*` suites of `monospec.verify`; each test builds its
-own corpus and asserts the suite finds no failure.
+properties are the suites of `monospec.verify.SUITES`, run by `run_suite`; each
+test builds its own corpus and asserts the suite finds no failure.
 """
 
 import time
@@ -25,17 +25,7 @@ from monospec.spectrum import (
     spec_presentation,
     spectrum_monoid,
 )
-from monospec.verify import (
-    check_adjoints,
-    check_alpha_suite,
-    check_duals,
-    check_grillet,
-    check_limits,
-    check_naturality,
-    check_power_submonoid,
-    check_theta,
-    check_three_routes,
-)
+from monospec.verify import adjoint_items, run_suite
 
 SEED = 0
 
@@ -70,7 +60,7 @@ def test_criterion_3_three_route_agreement():
     start = time.monotonic()
     monoids = corpus_monoids(SEED, count=150, max_size=10)
     presentations = corpus_presentations(SEED, count=60, max_gens=6)
-    _, fails, total = check_three_routes(monoids, presentations)
+    _, fails, total = run_suite("three_routes", monoids, presentations)
     assert total >= 200
     elapsed = time.monotonic() - start
     report(3, fails == 0 and elapsed < 60.0,
@@ -80,7 +70,7 @@ def test_criterion_3_three_route_agreement():
 def test_criterion_4_theta_iso_and_homeo():
     start = time.monotonic()
     monoids = [M for M in corpus_monoids(SEED, count=150, max_size=10) if M.size <= 8]
-    _, fails, total = check_theta(monoids)
+    _, fails, total = run_suite("theta", monoids)
     elapsed = time.monotonic() - start
     report(4, fails == 0 and elapsed < 60.0,
            f"hom/prime homeomorphism on {total} monoids in {elapsed:.1f}s")
@@ -88,20 +78,20 @@ def test_criterion_4_theta_iso_and_homeo():
 
 def test_criterion_5_alpha_beta_suite():
     lattices = corpus_semilattices(SEED, count=40, max_size=10)
-    _, fails, total = check_alpha_suite(lattices)
+    _, fails, total = run_suite("alpha_suite", lattices)
     report(5, fails == 0, f"downset-complement bijection suite on {total} semilattices")
 
 
 def test_criterion_6_naturality():
     maps = [f for f in corpus_join_morphisms(SEED, count=120) if is_join_morphism(f)]
     assert len(maps) >= 100
-    _, fails, total = check_naturality(maps)
+    _, fails, total = run_suite("naturality", maps)
     report(6, fails == 0, f"naturality square on {total} join-morphisms")
 
 
 def test_criterion_7_grillet():
     monoids = [M for M in corpus_monoids(SEED, count=150, max_size=10) if M.size <= 7]
-    _, fails, total = check_grillet(monoids)
+    _, fails, total = run_suite("grillet", monoids)
     report(7, fails == 0,
            f"power-divisibility relation equals idempotent closure on {total} monoids")
 
@@ -109,13 +99,13 @@ def test_criterion_7_grillet():
 def test_criterion_8_power_submonoid():
     pairs = corpus_power_pairs(SEED, count=60)
     assert len(pairs) >= 50
-    _, fails, total = check_power_submonoid(pairs)
+    _, fails, total = run_suite("power_submonoid", pairs)
     report(8, fails == 0, f"power-submonoid spectrum bijection on {total} pairs")
 
 
 def test_criterion_9_dualizing_object():
     lattices = [L for L in corpus_semilattices(SEED, count=40, max_size=8) if L.size <= 8]
-    _, fails, total = check_duals(lattices)
+    _, fails, total = run_suite("duals", lattices)
     report(9, fails == 0,
            f"double dual, double spectrum and triple spectrum on {total} semilattices")
 
@@ -124,14 +114,14 @@ def test_criterion_10_limits():
     chains = corpus_submonoid_chains(SEED, count=60)
     assert len(chains) >= 50
     lattices = [L for L in corpus_semilattices(SEED, count=40, max_size=8) if L.size <= 8]
-    _, fails, _ = check_limits(chains, lattices)
+    _, fails, _ = run_suite("limits", chains, lattices)
     report(10, fails == 0,
            f"colimit spectra on {len(chains)} chains, profinite bijection on {len(lattices)} semilattices")
 
 
 def test_criterion_11_adjoint_suite():
     maps = [f for f in corpus_join_morphisms(SEED, count=120) if is_join_morphism(f)]
-    _, fails, total = check_adjoints(maps)
+    _, fails, total = run_suite("adjoints", *adjoint_items(maps))
     composable = total - len(maps)
     assert composable >= 50
     report(11, fails == 0,

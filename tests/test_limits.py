@@ -8,7 +8,6 @@ from monospec.errors import CapExceeded, ValidationError
 from monospec import limits
 from monospec.limits import (
     InverseSystem,
-    colimit_of_submonoid_chain,
     inverse_limit,
     profinite_check,
     profinite_spec,
@@ -38,19 +37,6 @@ def test_inverse_limit_constant_map():
 def test_inverse_limit_needs_a_greatest_stage():
     with pytest.raises(ValidationError, match="greatest stage"):
         inverse_limit(InverseSystem([2, 2], [], {}))
-
-
-def test_colimit_of_chain():
-    F = free_semilattice(2).monoid
-    chain = [frozenset({0}), frozenset({0, 1}), frozenset(range(4))]
-    colim, local = colimit_of_submonoid_chain(F, chain)
-    assert colim.size == 4
-    single, _ = colimit_of_submonoid_chain(F, [frozenset({0})])
-    assert single.size == 1
-    with pytest.raises(ValidationError, match="not increasing"):
-        colimit_of_submonoid_chain(F, [frozenset({0, 1}), frozenset({0})])
-    with pytest.raises(ValidationError, match="not a submonoid"):
-        colimit_of_submonoid_chain(F, [frozenset({1})])
 
 
 def test_zg_on_free_semilattice_chain():

@@ -87,7 +87,7 @@ def _routes_disagree(capsys):
     data = Path(__file__).resolve().parent.parent / "data"
     assert cli.main(["spec", "--via", "all", str(data / "i.mon")]) == 2
     assert "routes agree: NO" in capsys.readouterr().out
-    _, fails, total = verify.check_three_routes(corpus_monoids(0, 20, 6), [])
+    _, fails, total = verify.run_suite("three_routes", corpus_monoids(0, 20, 6), [])
     return fails, total
 
 
@@ -127,7 +127,7 @@ def test_brute_fault_fails_topology_checks(monkeypatch):
     L = free_semilattice(2)
     _drop_last_point(monkeypatch, topology)
     assert topology.alpha_opens_check(L) is False
-    _, fails, _ = verify.check_alpha_suite([L])
+    _, fails, _ = verify.run_suite("alpha_suite", [L])
     assert fails == 1
 
     valid = verify.primes_bruteforce
@@ -140,7 +140,7 @@ def test_brute_fault_fails_topology_checks(monkeypatch):
     M = L.monoid
     assert len(topology.primes_bruteforce(M).points) == len(valid(M).points)
     assert topology.theta_homeo_check(M) is False
-    _, fails, _ = verify.check_theta([M])
+    _, fails, _ = verify.run_suite("theta", [M])
     assert fails == 1
 
 
@@ -153,7 +153,7 @@ def test_alpha_fault_fails_alpha_suite(monkeypatch):
         return valid(K, {1: 2, 2: 1}.get(a, a) if K is L else a)
 
     monkeypatch.setattr(verify, "alpha", swapped)
-    _, fails, total = verify.check_alpha_suite([chain_semilattice(3), L])
+    _, fails, total = verify.run_suite("alpha_suite", [chain_semilattice(3), L])
     assert (fails, total) == (1, 2)
 
 
@@ -162,7 +162,7 @@ def test_brute_fault_fails_duals_checks(monkeypatch):
     L = free_semilattice(2)
     _drop_last_point(monkeypatch, spectrum)
     assert spectrum.spec_spec_check(L) is False
-    _, fails, _ = verify.check_duals([L])
+    _, fails, _ = verify.run_suite("duals", [L])
     assert fails == 1
 
 
@@ -173,7 +173,7 @@ def test_brute_fault_fails_limits_checks(monkeypatch):
     _drop_last_point(monkeypatch, limits)
     assert limits.zg_check(L.monoid, chain) is False
     assert limits.profinite_check(L) is False
-    _, fails, _ = verify.check_limits([(L.monoid, chain)], [L])
+    _, fails, _ = verify.run_suite("limits", [(L.monoid, chain)], [L])
     assert fails >= 1
 
 
@@ -293,6 +293,9 @@ def test_ev_and_double_spectrum():
     assert spec_spec_check(chain_semilattice(3))
     assert spec_spec_check(free_semilattice(2))
     assert spec_cubed_check(cyclic_monoid(2, 2))
+    # a monoid that is not idempotent has more elements than its double dual
+    for index, period in ((2, 2), (1, 2), (2, 3), (3, 1)):
+        assert ev_check(cyclic_monoid(index, period)) is False
 
 
 def test_power_submonoid_check():

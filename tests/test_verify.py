@@ -15,16 +15,9 @@ import pytest
 from monospec import core, limits, spectrum, topology, verify
 from monospec.cli import main
 from monospec.core import SUBSET_CAP, FiniteMonoid
-from monospec.corpus import (
-    corpus_join_morphisms,
-    corpus_monoids,
-    corpus_power_pairs,
-    corpus_presentations,
-    corpus_semilattices,
-    corpus_submonoid_chains,
-)
+from monospec.corpus import corpus_monoids, corpus_presentations
 from monospec.presentation import Presentation
-from monospec.semilattice import JoinSemilattice, MonotoneMap, is_join_morphism
+from monospec.semilattice import JoinSemilattice, MonotoneMap
 
 
 @pytest.fixture
@@ -42,14 +35,14 @@ def size3_fault(monkeypatch):
 
 def test_counts_match_a_per_item_loop(size3_fault):
     monoids = corpus_monoids(0, 150, 10)
-    for check, holds in ((lambda ms: verify.check_three_routes(ms, []), verify.routes_agree),
-                         (verify.check_theta, verify.theta_holds),
-                         (verify.check_grillet, verify.grillet_holds)):
+    for key, holds, corpora in (("three_routes", verify.routes_agree, (monoids, [])),
+                                ("theta", verify.theta_holds, (monoids,)),
+                                ("grillet", verify.grillet_holds, (monoids,))):
         fails = 0
         for M in monoids:
             if not holds(M):
                 fails += 1
-        assert check(monoids)[1:] == (fails, len(monoids))
+        assert verify.run_suite(key, *corpora)[1:] == (fails, len(monoids))
     failing = [M.table for M in monoids if not verify.routes_agree(M)]
     # the fault bites, and repeated tables count once per occurrence
     assert 0 < len(set(failing)) < len(failing) < len(monoids)
@@ -71,26 +64,10 @@ def _renamed(item):
 
 
 def test_names_do_not_change_verdicts(size3_fault):
-    lattices = corpus_semilattices(0, count=40, max_size=10)
-    join_maps = [f for f in corpus_join_morphisms(0, count=120) if is_join_morphism(f)]
-    monoids = corpus_monoids(0, count=150, max_size=10)
-    suites = [
-        (verify.check_three_routes, monoids, corpus_presentations(0, count=60, max_gens=6)),
-        (verify.check_theta, [M for M in monoids[:120] if M.size <= 8]),
-        (verify.check_alpha_suite, lattices),
-        (verify.check_naturality, join_maps),
-        (verify.check_grillet, [M for M in monoids if M.size <= 7]),
-        (verify.check_power_submonoid, corpus_power_pairs(0, count=60)),
-        (verify.check_duals, [L for L in lattices if L.size <= 8]),
-        (verify.check_limits, corpus_submonoid_chains(0, count=60),
-         [L for L in corpus_semilattices(0, count=40, max_size=8) if L.size <= 8]),
-        (verify.check_adjoints, join_maps),
-        (verify.check_module_invariants, corpus_monoids(0, count=60, max_size=8)),
-    ]
     failing = 0
-    for check, *corpora in suites:
-        result = check(*corpora)
-        assert check(*map(_renamed, corpora)) == result
+    for key, corpora in verify.suite_corpora(0).items():
+        result = verify.run_suite(key, *corpora)
+        assert verify.run_suite(key, *map(_renamed, corpora)) == result
         failing += result[1] > 0
     assert failing >= 5
 
@@ -124,11 +101,11 @@ def test_run_all_drops_its_memo(run_memos, monkeypatch):
     assert core._memo.table is None
     assert len(run_memos) == 1 and run_memos[0]
 
-    def raising(monoids):
+    def raising(M):
         assert core._memo.table is run_memos[1]
         raise RuntimeError("suite crashed")
 
-    monkeypatch.setattr(verify, "check_theta", raising)
+    monkeypatch.setitem(verify.SUITES, "theta", ("theta", raising))
     with pytest.raises(RuntimeError, match="suite crashed"):
         verify.run_all(0, quick=True)
     assert core._memo.table is None
@@ -163,7 +140,7 @@ def test_corpus_and_routes_share_presented_reflections():
         before = reflected()
         # every one past the fixed first presentation was drawn and reflected
         assert {(P, SUBSET_CAP) for P in presentations[1:]} <= before
-        assert verify.check_three_routes([], presentations)[1] == 0
+        assert verify.run_suite("three_routes", [], presentations)[1] == 0
         assert reflected() - before == {(presentations[0], SUBSET_CAP)}
 
 
