@@ -95,7 +95,7 @@ def quotient(M: FiniteMonoid, C: Congruence) -> tuple[FiniteMonoid, MonoidMap]:
     The identity's class is first (representatives are sorted), so the quotient
     needs no relabeling.
     """
-    if C.owner is not M and C.owner != M:
+    if C.owner != M:
         raise ValidationError("congruence belongs to a different monoid")
     reps = [cls[0] for cls in C.classes]
     class_of, mt = C.class_of, M.table

@@ -53,18 +53,25 @@ def memo_scope():
 def memoized(fn):
     """Inside a `memo_scope`, compute fn once per argument value; outside, just call it.
 
-    The key is (fn, positional arguments, keyword arguments), compared by
-    value, names included: one function's result never answers for another's,
-    and equal tables with different names stay apart.  fn must be pure and
-    return a value its callers do not mutate, since every hit hands out the
-    same object.
+    The key is fn with its arguments in positional order, defaults filled in,
+    by value: f(M), f(M, 16) and f(M, cap=16) share one entry when cap
+    defaults to 16, and equal tables with different names stay apart.  fn
+    takes positional-or-keyword parameters only, is pure, and returns a value
+    its callers do not mutate, since every hit hands out the same object.
     """
+    code, defaults = fn.__code__, fn.__defaults__ or ()
+    params = code.co_varnames[:code.co_argcount]
+    # each parameter's default, `_memo` for a required one: a call that omits one
+    # finds no entry, since no key holding `_memo` is ever stored, and fn raises
+    filled = (_memo,) * (len(params) - len(defaults)) + defaults
+
     @wraps(fn)
     def wrapper(*args, **kwargs):
-        memo = _memo.table
-        if memo is None:
-            return fn(*args, **kwargs)
-        key = (fn, args, tuple(sorted(kwargs.items()))) if kwargs else (fn, args)
+        memo, rest = _memo.table, params[len(args):]
+        if memo is None or kwargs and not kwargs.keys() <= set(rest):
+            return fn(*args, **kwargs)  # an unknown or repeated keyword raises its TypeError
+        tail = filled[len(args):]
+        key = (fn, args + (tuple([kwargs.get(p, d) for p, d in zip(rest, tail)]) if kwargs else tail))
         try:
             return memo[key]
         except KeyError:

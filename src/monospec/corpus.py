@@ -11,7 +11,6 @@ from itertools import islice
 
 from .congruence import congruence_closure, quotient, sl_reflection
 from .core import (
-    SUBSET_CAP,
     FiniteMonoid,
     direct_product,
     memoized,
@@ -159,8 +158,7 @@ def corpus_presentations(seed: int, count: int = 60, max_gens: int = 6,
             rels.append((u, v))
         P = Presentation(tuple(f"g{i + 1}" for i in range(k)), tuple(rels))
         try:
-            # the cap `spec_presentation` passes, so a run's memo serves both
-            L, _ = sl_of_presentation(P, SUBSET_CAP)
+            L, _ = sl_of_presentation(P)
         except CapExceeded:
             continue
         if L.size <= max_reflection:

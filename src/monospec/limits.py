@@ -81,60 +81,44 @@ def _checked_chain(ambient: FiniteMonoid, chain) -> list[frozenset[int]]:
     chain = [frozenset(s) for s in chain]
     if not chain:
         raise ValidationError("empty chain")
-    prev = None
     for k, stage in enumerate(chain):
         if not is_submonoid(ambient, stage):
             raise ValidationError(f"stage {k} is not a submonoid")
-        if prev is not None and not prev <= stage:
+        if k and not chain[k - 1] <= stage:
             raise ValidationError(f"chain is not increasing at stage {k}")
-        prev = stage
     return chain
-
-
-def _restrict(p, ambient_of, stage) -> int | None:
-    """The point of `stage`'s spectrum that the prime p cuts out of it.
-
-    `ambient_of` sends p's local indices to the ambient monoid's.  None when
-    the cut is not a point of the stage, which no correct spectrum allows.
-    """
-    local, position = stage
-    return position.get(frozenset(local[ambient_of[x]] for x in p if ambient_of[x] in local))
-
-
-def _stage_spectra(ambient: FiniteMonoid, chain):
-    """Stages as (local indices, position of each prime), plus the restriction
-    maps to the previous stage; the maps are None when a restriction is missing."""
-    stages = []
-    for stage in chain:
-        mon, local = submonoid_as_monoid(ambient, stage)
-        stages.append((local, {p: k for k, p in enumerate(primes_bruteforce(mon).points)}))
-    maps = {}
-    for i in range(len(stages) - 1):
-        local_j, position_j = stages[i + 1]
-        ambient_j = {v: k for k, v in local_j.items()}
-        t = tuple(_restrict(p, ambient_j, stages[i]) for p in position_j)
-        if None in t:
-            return stages, None
-        maps[(i, i + 1)] = t
-    return stages, maps
 
 
 def zg_check(ambient: FiniteMonoid, chain) -> bool:
     """Spec of the chain union matches the inverse limit of the stage spectra.
 
-    A prime whose restriction to some stage is not a point of that stage's
-    spectrum fails the check.
+    Each stage's primes are kept as sets of ambient elements, so a prime p
+    restricts to stage S as p & S.  The transitions restrict each stage's
+    primes to the stage below; the union's primes, restricted to every stage
+    at once, must be the coherent families, so on a finite chain this checks
+    that restriction composes.  A restriction that is not a point of its
+    stage's spectrum fails the check.  Both sides read the union's primes
+    from one `primes_bruteforce` call, so a prime missing from the last stage
+    passes here; three-route agreement catches that.
     """
-    stages, maps = _stage_spectra(ambient, _checked_chain(ambient, chain))
-    if maps is None:
-        return False
-    system = InverseSystem([len(position) for _, position in stages], list(maps), maps)
-    local, position = stages[-1]  # the union is the last stage; its primes are known
-    ambient_c = {v: k for k, v in local.items()}
-    images = [tuple(_restrict(p, ambient_c, stage) for stage in stages) for p in position]
-    if any(None in image for image in images):
-        return False
-    return len(set(images)) == len(images) and sorted(images) == inverse_limit(system)
+    chain = _checked_chain(ambient, chain)
+    spectra = []  # per stage: its primes, as sets of ambient elements, by position
+    for stage in chain:
+        members = sorted(stage)  # a local index's ambient element
+        primes = primes_bruteforce(submonoid_as_monoid(ambient, stage)[0]).points
+        spectra.append({frozenset(members[x] for x in p): k for k, p in enumerate(primes)})
+    maps = {}
+    for i in range(len(chain) - 1):
+        t = tuple(spectra[i].get(p & chain[i]) for p in spectra[i + 1])
+        if None in t:
+            return False
+        maps[(i, i + 1)] = t
+    system = InverseSystem(list(map(len, spectra)), list(maps), maps)
+    # the union is the last stage, so each image ends at its own prime; every
+    # p & S is a point, being (p & T) & S for the stage T just above S
+    images = [tuple(position[p & stage] for stage, position in zip(chain, spectra))
+              for p in spectra[-1]]
+    return sorted(images) == inverse_limit(system)
 
 
 def subsemilattices(L: JoinSemilattice) -> list[tuple[int, ...]]:

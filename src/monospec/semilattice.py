@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import NamedTuple
 
-from .core import FiniteMonoid, is_idempotent, memoized
+from .core import FiniteMonoid, MonoidMap, is_hom, is_idempotent, memoized
 from .errors import IntegrityError, ValidationError
 
 
@@ -92,15 +92,8 @@ def monotone_map(source: JoinSemilattice, target: JoinSemilattice, images) -> Mo
 
 
 def is_join_morphism(f: MonotoneMap) -> bool:
-    """Preserves the least element and binary joins."""
-    if f.images[0] != 0:
-        return False
-    src, tgt, im = f.source.monoid.table, f.target.monoid.table, f.images
-    return all(
-        im[src[a][b]] == tgt[im[a]][im[b]]
-        for a in range(len(src))
-        for b in range(len(src))
-    )
+    """Preserves the least element and binary joins: a hom of the underlying monoids."""
+    return is_hom(MonoidMap(f.source.monoid, f.target.monoid, f.images))
 
 
 def is_meet_morphism(f: MonotoneMap) -> bool:
@@ -160,9 +153,7 @@ def check_adjunction(f: MonotoneMap, g: MonotoneMap) -> bool:
 
     Here f : X -> Y and g : Y -> X, i.e. f is the left and g the right adjoint.
     """
-    if f.source is not g.target and f.source != g.target:
-        raise ValidationError("adjunction endpoints do not match")
-    if f.target is not g.source and f.target != g.source:
+    if f.source != g.target or f.target != g.source:
         raise ValidationError("adjunction endpoints do not match")
     X, Y = f.source, f.target
     return all(
@@ -174,7 +165,7 @@ def check_adjunction(f: MonotoneMap, g: MonotoneMap) -> bool:
 
 def compose_monotone(f: MonotoneMap, g: MonotoneMap) -> MonotoneMap:
     """g after f."""
-    if f.target is not g.source and f.target != g.source:
+    if f.target != g.source:
         raise ValidationError("composition endpoints do not match")
     return MonotoneMap(f.source, g.target, tuple(g.images[x] for x in f.images))
 

@@ -173,12 +173,9 @@ def alpha_opens_check(L: JoinSemilattice) -> bool:
     S = primes_bruteforce(L.monoid)
     point_index = {p: i for i, p in enumerate(S.points)}
     amap = [point_index.get(alpha(L, a)) for a in L.elements()]
-    if None in amap:
+    if None in amap or sorted(amap) != list(range(len(S.points))):
         return False
-    T_ideal = ideal_opens(L)
-    T_spec = spec_topology(L.monoid, S)
-    images = set(frozenset(amap[a] for a in o) for o in T_ideal.opens)
-    return images == set(T_spec.opens)
+    return is_homeomorphism(amap, ideal_opens(L), spec_topology(L.monoid, S))
 
 
 def format_opens(T: FiniteTopology, names=None) -> str:

@@ -50,7 +50,6 @@ from .semilattice import (
     MonotoneMap,
     check_adjunction,
     compose_monotone,
-    is_join_morphism,
     is_meet_morphism,
     left_adjoint,
     meet_table,
@@ -298,7 +297,7 @@ def suite_corpora(seed: int = 0, quick: bool = False) -> dict:
     (and `--quick`) selects them."""
     scale = 1 if not quick else 4
     lattices = corpus_semilattices(seed, count=40, max_size=10)
-    join_maps = [f for f in corpus_join_morphisms(seed, count=120 // scale) if is_join_morphism(f)]
+    join_maps = corpus_join_morphisms(seed, count=120 // scale)
     # the corpus is a seeded sequence, so a shorter one is a prefix of this
     monoids = corpus_monoids(seed, count=150, max_size=10)
     return {

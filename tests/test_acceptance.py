@@ -18,7 +18,6 @@ from monospec.corpus import (
     corpus_submonoid_chains,
 )
 from monospec.presentation import parse_presentation
-from monospec.semilattice import is_join_morphism
 from monospec.spectrum import (
     primes_bruteforce,
     render_support,
@@ -83,7 +82,7 @@ def test_criterion_5_alpha_beta_suite():
 
 
 def test_criterion_6_naturality():
-    maps = [f for f in corpus_join_morphisms(SEED, count=120) if is_join_morphism(f)]
+    maps = corpus_join_morphisms(SEED, count=120)
     assert len(maps) >= 100
     _, fails, total = run_suite("naturality", maps)
     report(6, fails == 0, f"naturality square on {total} join-morphisms")
@@ -120,7 +119,7 @@ def test_criterion_10_limits():
 
 
 def test_criterion_11_adjoint_suite():
-    maps = [f for f in corpus_join_morphisms(SEED, count=120) if is_join_morphism(f)]
+    maps = corpus_join_morphisms(SEED, count=120)
     _, fails, total = run_suite("adjoints", *adjoint_items(maps))
     composable = total - len(maps)
     assert composable >= 50

@@ -223,6 +223,25 @@ def test_memoized_functions_do_not_share_entries():
         assert len(core._memo.table) == 2
 
 
+def test_memo_keys_fill_in_defaults():
+    """An omitted default and a keyword argument key a call as its positional form."""
+    M = cyclic_monoid(1, 2)
+    with memo_scope():
+        S = primes_bruteforce(M)
+        assert primes_bruteforce(M, 16) is S and primes_bruteforce(M, cap=16) is S
+        assert [args for fn, args in core._memo.table
+                if fn is primes_bruteforce.__wrapped__] == [(M, 16)]
+        assert primes_bruteforce(M, 17) is not S
+    with memo_scope():
+        with pytest.raises(TypeError):
+            primes_bruteforce(M, bound=16)
+        with pytest.raises(TypeError):
+            primes_bruteforce(M, 16, cap=16)
+        with pytest.raises(TypeError):
+            primes_bruteforce(cap=16)
+        assert core._memo.table == {}
+
+
 def test_memo_keys_compare_names():
     M = cyclic_monoid(1, 2)
     N = validate_monoid(M.table, names=["u", "v", "w"])

@@ -4,11 +4,13 @@ from monospec.core import direct_product, sierpinski, trivial_monoid
 from monospec.corpus import (
     _structured_monoids,
     chain_semilattice,
+    corpus_join_morphisms,
     corpus_presentations,
     cyclic_group,
     cyclic_monoid,
 )
 from monospec.presentation import free_semilattice, sl_of_presentation
+from monospec.semilattice import is_join_morphism
 
 
 def _structured_monoids_every_product(max_size):
@@ -47,3 +49,10 @@ def test_corpus_presentations_are_unchanged():
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, seed
         # every member has a reflection of at most 12 elements
         assert all(sl_of_presentation(P)[0].size <= 12 for P in presentations)
+
+
+def test_corpus_join_maps_are_join_maps():
+    """Every corpus map is a monoid hom between semilattices, so no suite filters them."""
+    for seed in range(12):
+        maps = corpus_join_morphisms(seed, 120)
+        assert len(maps) == 120 and all(map(is_join_morphism, maps)), seed

@@ -64,6 +64,18 @@ def test_zg_computes_each_spectrum_once(monkeypatch):
     assert calls == [1, 2, 4]
 
 
+def test_zg_fails_on_a_stage_spectrum_missing_a_prime(monkeypatch):
+    """The middle stage {0, 1} of free_semilattice(2) losing its last prime
+    leaves a prime of the union with no restriction there."""
+    def faulty(M, *args, **kwargs):
+        S = primes_bruteforce(M, *args, **kwargs)
+        return S._replace(points=S.points[:-1]) if M.size == 2 else S
+
+    monkeypatch.setattr(limits, "primes_bruteforce", faulty)
+    F = free_semilattice(2).monoid
+    assert not zg_check(F, [frozenset({0}), frozenset({0, 1}), frozenset(range(4))])
+
+
 def test_zg_builds_each_stage_monoid_once(monkeypatch):
     """The union is the last stage, so no stage monoid is built twice."""
     built = []
