@@ -148,17 +148,32 @@ def validate_monoid(table, identity=0, names=None) -> FiniteMonoid:
                 raise ValidationError(
                     f"not commutative at pair ({i},{j}): {table[i][j]} != {table[j][i]}"
                 )
-    for i in range(n):
-        for j in range(n):
-            tij = table[i][j]
-            row_i = table[i]
-            row_tij = table[tij]
-            for k in range(n):
-                if row_tij[k] != row_i[table[j][k]]:
-                    raise ValidationError(
-                        f"not associative at triple ({i},{j},{k}): "
-                        f"({i}*{j})*{k} = {row_tij[k]} but {i}*({j}*{k}) = {row_i[table[j][k]]}"
-                    )
+    # Light's test: (x*g)*y = x*(g*y) for every g of a generating set G is
+    # associativity.  Walking the elements in index order, each one not yet in
+    # the closure joins G and the closure grows by a worklist, O(n^2) in all.
+    rows = tuple(map(tuple, table))
+    seen, gens = {identity}, []
+    for x in range(n):
+        if x not in seen:
+            gens.append(x)
+            seen.add(x)
+            work = [x]
+            while work:
+                fresh = set(map(rows[work.pop()].__getitem__, seen)) - seen
+                seen |= fresh
+                work += fresh
+    # by commutativity, entry (i, k) of g's block is (i*g)*k and entry (k, i)
+    # is i*(g*k), so g passes Light's test exactly when its block is symmetric
+    for j in gens:
+        block = [rows[v] for v in rows[j]]
+        cols = list(zip(*block))
+        if block != cols:
+            i = next(i for i in range(n) if block[i] != cols[i])
+            k = next(k for k in range(n) if block[i][k] != cols[i][k])
+            raise ValidationError(
+                f"not associative at triple ({i},{j},{k}): "
+                f"({i}*{j})*{k} = {block[i][k]} but {i}*({j}*{k}) = {block[k][i]}"
+            )
     if names is not None:
         if len(names) != n:
             raise ValidationError(f"{len(names)} names for {n} elements")

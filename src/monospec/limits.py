@@ -11,7 +11,6 @@ shape by construction; a wrong map value fails coherence in `inverse_limit`.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import NamedTuple
 
 from .core import FiniteMonoid, enforce_cap, is_submonoid, submonoid_as_monoid
@@ -176,7 +175,7 @@ def profinite_system(L: JoinSemilattice) -> tuple[list[tuple[int, ...]], Inverse
     """
     stages = subsemilattices(L)
     index = {sum(1 << x for x in s): k for k, s in enumerate(stages)}
-    join, leq = L.join, L.leq
+    table, leq = L.monoid.table, L.leq
     maps = {}
     for mask, j in index.items():
         high = stages[j]
@@ -185,7 +184,11 @@ def profinite_system(L: JoinSemilattice) -> tuple[list[tuple[int, ...]], Inverse
             if i is not None:
                 low = stages[i]
                 t = [k - (y > x) for k, y in enumerate(high)]  # positions in high less x
-                t[high.index(x)] = low.index(reduce(join, [s for s in low if leq[s][x]]))
+                below = 0  # the least element, which every stage holds
+                for s in low:
+                    if leq[s][x]:
+                        below = table[below][s]
+                t[high.index(x)] = low.index(below)
                 maps[(i, j)] = tuple(t)
     return stages, InverseSystem([len(s) for s in stages], sorted(maps), maps)
 

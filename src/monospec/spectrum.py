@@ -58,18 +58,21 @@ class Spectrum(NamedTuple):
 
 
 def build_spectrum(M: FiniteMonoid, points) -> Spectrum:
-    """Canonicalize a complete set of primes and tabulate the union monoid."""
+    """Canonicalize a complete set of primes and tabulate the union monoid.
+
+    Each point is also a bitmask of its members, so a union is one int OR
+    and one dict lookup.
+    """
     pts = sorted(set(frozenset(p) for p in points), key=canonical_key)
-    index = {p: i for i, p in enumerate(pts)}
+    masks = [sum(1 << x for x in p) for p in pts]
+    index = {m: i for i, m in enumerate(masks)}
     table = []
-    for p in pts:
-        row = []
-        for q in pts:
-            u = p | q
-            if u not in index:
-                raise IntegrityError(f"union of primes {sorted(p)} and {sorted(q)} is not a prime point")
-            row.append(index[u])
-        table.append(tuple(row))
+    for p, m in zip(pts, masks):
+        row = tuple(map(index.get, [m | q for q in masks]))
+        if None in row:
+            q = pts[row.index(None)]
+            raise IntegrityError(f"union of primes {sorted(p)} and {sorted(q)} is not a prime point")
+        table.append(row)
     if not pts or pts[0] != frozenset():
         raise IntegrityError("the empty prime is missing")
     return Spectrum(M, tuple(pts), tuple(table))

@@ -1,8 +1,9 @@
+import re
 import threading
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monospec import core
 from monospec.congruence import congruence_closure, sl_reflection
@@ -149,6 +150,40 @@ def test_fuzz_validation_matches_law_oracle(args):
     except ValidationError:
         accepted = False
     assert accepted == laws_hold(table, identity)
+
+
+def _symmetric_with_identity(n, upper):
+    """The n-element table with identity row 0 and entries (i, j), i <= j, from upper."""
+    table = [list(range(n))] + [[0] * n for _ in range(n - 1)]
+    cells = iter(upper)
+    for i in range(1, n):
+        table[i][0] = i
+        for j in range(i, n):
+            table[i][j] = table[j][i] = next(cells)
+    return table
+
+
+@settings(derandomize=True, max_examples=400)
+@example((5, [1, 2, 3, 4, 2, 3, 4, 3, 4, 4]))  # chain(5) under max
+@example((5, [1] * 10))  # every product of non-identity elements is 1
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.just(n),
+                        st.lists(st.integers(0, n - 1),
+                                 min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))))
+def test_fuzz_associativity_matches_law_oracle(args):
+    """Tables that pass the identity and commutativity checks reach the
+    associativity check; a rejection names a triple that really fails."""
+    n, upper = args
+    t = _symmetric_with_identity(n, upper)
+    try:
+        validate_monoid(t)
+    except ValidationError as err:
+        assert not laws_hold(t, 0)
+        i, j, k = map(int, re.search(r"not associative at triple \((\d+),(\d+),(\d+)\)",
+                                     str(err)).groups())
+        assert t[t[i][j]][k] != t[i][t[j][k]]
+    else:
+        assert laws_hold(t, 0)
 
 
 def test_render_set():

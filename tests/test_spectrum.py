@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 from pathlib import Path
 
@@ -7,12 +8,13 @@ from monospec import cli, limits, spectrum, topology, verify
 from monospec.congruence import sl_reflection
 from monospec.core import MonoidMap, direct_product, monoid_homs, sierpinski, validate_monoid
 from monospec.corpus import chain_semilattice, corpus_monoids, cyclic_group, cyclic_monoid
-from monospec.errors import CapExceeded, HypothesisError
+from monospec.errors import CapExceeded, HypothesisError, IntegrityError, ValidationError
 from monospec.presentation import free_semilattice, parse_presentation
 from monospec.semilattice import from_monoid
 from monospec.spectrum import (
     alpha,
     beta,
+    build_spectrum,
     canonical_key,
     ev_check,
     greatest_prime,
@@ -70,6 +72,48 @@ def test_primes_bruteforce_matches_definition():
     chain17 = primes_bruteforce(chain_semilattice(17).monoid, cap=17)
     assert len(chain17.points) == 17
     assert chain17.points == tuple(frozenset(range(k, 17)) for k in range(17, 0, -1))
+
+
+def _union_oracle(points):
+    index = {p: i for i, p in enumerate(points)}
+    return tuple(tuple(index[p | q] for q in points) for p in points)
+
+
+def test_build_spectrum_union_table_matches_frozensets():
+    for s in range(3):
+        for M in corpus_monoids(s, 150, 10):
+            S = primes_bruteforce(M)
+            assert S.union_table == _union_oracle(S.points), M.table
+    # the primes of free(2) less {1, 2, 3}, the union of {1, 3} and {2, 3}
+    M = free_semilattice(2).monoid
+    with pytest.raises(IntegrityError, match=r"union of primes \[1, 3\] and \[2, 3\] is not a prime"):
+        build_spectrum(M, [frozenset(), frozenset({2, 3}), frozenset({1, 3})])
+
+
+def test_kernels_scale_to_free_8():
+    """Free semilattice on 8 generators, a | b on 256 elements: validation, a
+    rejection and the union table.  Nothing is timed; the test stays fast
+    while associativity costs O(n^2 |G|) and a union one int OR."""
+    n = 256
+    table = [[a | b for b in range(n)] for a in range(n)]
+    M = validate_monoid(table)
+    broken = [row[:] for row in table]
+    broken[1][2] = broken[2][1] = 4  # still commutative, with identity 0
+    with pytest.raises(ValidationError, match="associative") as err:
+        validate_monoid(broken)
+    i, j, k = map(int, re.search(r"triple \((\d+),(\d+),(\d+)\)", str(err.value)).groups())
+    assert broken[broken[i][j]][k] != broken[i][broken[j][k]]
+    # the primes are the complements of the principal downsets, and the
+    # union of the complements of a and b is the complement of a & b
+    primes = [frozenset(x for x in range(n) if x & ~a) for a in range(n)]
+    S = build_spectrum(M, primes)
+    position = {p: k for k, p in enumerate(S.points)}
+    at = [position[p] for p in primes]
+    expected = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            expected[at[a]][at[b]] = at[a & b]
+    assert S.union_table == tuple(map(tuple, expected))
 
 
 def _drop_last_point(monkeypatch, module):
