@@ -38,9 +38,9 @@ from .spectrum import (
     Spectrum,
     alpha,
     beta,
+    generator_supports,
     primes_bruteforce,
     spec_monoid,
-    spec_presentation,
     theta,
     theta_inverse,
 )

@@ -19,16 +19,21 @@ from .presentation import parse_presentation, sl_of_presentation
 from .semilattice import from_monoid, monotone_map, left_adjoint, right_adjoint
 from .spectrum import (
     ROUTES,
+    generator_supports,
     primes_bruteforce,
-    route_primes,
-    spec_presentation,
     render_support,
+    route_primes,
     spectrum_monoid,
 )
 from .topology import format_opens, ideal_opens
 
 
-def _load(path: str, kind: str | None):
+def _load(path: str, kind: str | None, cap: int = SUBSET_CAP):
+    """The input's table, and (P, generator images) for a presentation P or None.
+
+    A presentation is read as its reflection table, whose spectrum is the
+    presented monoid's; past `cap` generators or elements it raises CapExceeded.
+    """
     if kind is None:
         suffix = Path(path).suffix
         if suffix == ".mon":
@@ -42,14 +47,18 @@ def _load(path: str, kind: str | None):
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not UTF-8 text ({e.reason})")
     if kind == "mon":
-        return "mon", parse_monoid_table(text)
-    return "pres", parse_presentation(text)
+        return parse_monoid_table(text), None
+    P = parse_presentation(text)
+    L, gen_images = sl_of_presentation(P, cap)
+    return L.monoid, (P, gen_images)
 
 
-def _reflection(args):
-    kind, obj = _load(args.input, args.kind)
-    L, _ = sl_reflection(obj) if kind == "mon" else sl_of_presentation(obj, args.cap)
-    return L
+def _labels(pres, points) -> dict:
+    """The names of a presentation's primes `points`: the generators they hold."""
+    if pres is None:
+        return {}
+    P, gen_images = pres
+    return {p: render_support(P, s) for p, s in zip(points, generator_supports(gen_images, points))}
 
 
 def cmd_spec(args) -> int:
@@ -59,27 +68,17 @@ def cmd_spec(args) -> int:
         raise InputError(f"unknown route {unknown[0]!r} in --via {args.via!r}")
     if "all" in vias:
         vias = ROUTES
-    kind, obj = _load(args.input, args.kind)
-    results = {}
-    labels = {}
-    M = obj
-    if kind == "pres":
-        L, _, S, supports = spec_presentation(obj, cap=args.cap)
-        M = L.monoid
-        labels = {p: render_support(obj, s) for p, s in zip(S.points, supports)}
-        if "alpha" in vias:
-            results["alpha"] = S.points
+    M, pres = _load(args.input, args.kind, args.cap)
     # alpha first, so that a cap error names the reflection before the table
-    for via in ("alpha", "brute", "hom"):
-        if via in vias and via not in results:
-            results[via] = route_primes(M, via, args.cap)
+    results = {via: route_primes(M, via, args.cap) for via in ("alpha", "brute", "hom") if via in vias}
+    values = list(results.values())
+    labels = _labels(pres, values[0])
     for via in ROUTES:
         if via in results:
             pts = results[via]
             print(f"spec via {via}: {len(pts)} primes")
             for p in pts:
                 print("  " + labels.get(p, render_set(M, p)))
-    values = list(results.values())
     if len(values) > 1:
         agree = all(v == values[0] for v in values[1:])
         print(f"routes agree: {'yes' if agree else 'NO'}")
@@ -89,22 +88,21 @@ def cmd_spec(args) -> int:
 
 
 def cmd_sl(args) -> int:
-    kind, obj = _load(args.input, args.kind)
-    if kind == "mon":
-        L, q = sl_reflection(obj)
-        print(format_monoid_table(L.monoid), end="")
+    M, pres = _load(args.input, args.kind, args.cap)
+    L, q = sl_reflection(M)
+    print(format_monoid_table(L.monoid), end="")
+    if pres is None:
         print("projection: " + " ".join(
-            f"{obj.names[x]}->{L.names[q.images[x]]}" for x in obj.elements()))
+            f"{M.names[x]}->{L.names[q.images[x]]}" for x in M.elements()))
     else:
-        L, gens = sl_of_presentation(obj, args.cap)
-        print(format_monoid_table(L.monoid), end="")
+        P, gen_images = pres
         print("generators: " + " ".join(
-            f"{g}->{L.names[i]}" for g, i in zip(obj.generators, gens)))
+            f"{g}->{L.names[i]}" for g, i in zip(P.generators, gen_images)))
     return 0
 
 
 def cmd_dot(args) -> int:
-    L = _reflection(args)
+    L, _ = sl_reflection(_load(args.input, args.kind, args.cap)[0])
     if args.spec:
         S = primes_bruteforce(L.monoid, cap=args.cap)
         L = from_monoid(spectrum_monoid(S))
@@ -115,15 +113,15 @@ def cmd_dot(args) -> int:
 
 
 def cmd_topology(args) -> int:
-    L = _reflection(args)
+    L, _ = sl_reflection(_load(args.input, args.kind, args.cap)[0])
     T = ideal_opens(L, cap=args.cap)
     print(format_opens(T, names=L.names), end="")
     return 0
 
 
 def cmd_adjoint(args) -> int:
-    _, src = _load(args.source, "mon")
-    _, tgt = _load(args.target, "mon")
+    src, _ = _load(args.source, "mon")
+    tgt, _ = _load(args.target, "mon")
     Ls, Lt = from_monoid(src), from_monoid(tgt)
     name_index = {n: i for i, n in enumerate(Lt.names)}
     try:

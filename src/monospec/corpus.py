@@ -144,9 +144,12 @@ def corpus_semilattices(seed: int, count: int = 40, max_size: int = 10) -> list[
     return out[:count]
 
 
-def corpus_presentations(seed: int, count: int = 60, max_gens: int = 6,
-                         max_reflection: int = 12) -> list[Presentation]:
-    """Random presentations whose reflections stay within brute-force reach."""
+#: The largest reflection a corpus presentation keeps: within brute-force reach.
+MAX_REFLECTION = 12
+
+
+def corpus_presentations(seed: int, count: int = 60, max_gens: int = 6) -> list[Presentation]:
+    """Random presentations whose reflections have at most MAX_REFLECTION elements."""
     rng = random.Random(f"presentations:{seed}")
     out = [Presentation(("t",), ())]
     while len(out) < count:
@@ -161,7 +164,7 @@ def corpus_presentations(seed: int, count: int = 60, max_gens: int = 6,
             L, _ = sl_of_presentation(P)
         except CapExceeded:
             continue
-        if L.size <= max_reflection:
+        if L.size <= MAX_REFLECTION:
             out.append(P)
     return out
 

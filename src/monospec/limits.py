@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .core import FiniteMonoid, enforce_cap, is_submonoid, submonoid_as_monoid
 from .errors import ValidationError
 from .semilattice import JoinSemilattice
-from .spectrum import alpha, canonical_key, primes_bruteforce
+from .spectrum import alpha, canonical_key, primes_bruteforce, route_primes
 
 
 class InverseSystem(NamedTuple):
@@ -96,15 +96,18 @@ def zg_check(ambient: FiniteMonoid, chain) -> bool:
     primes to the stage below; the union's primes, restricted to every stage
     at once, must be the coherent families, so on a finite chain this checks
     that restriction composes.  A restriction that is not a point of its
-    stage's spectrum fails the check.  Both sides read the union's primes
-    from one `primes_bruteforce` call, so a prime missing from the last stage
-    passes here; three-route agreement catches that.
+    stage's spectrum fails the check.  The stages below the last read their
+    primes by brute force and the last, the union, by the hom route, so the
+    restriction test compares two independent routes: a stage spectrum that
+    misses the restriction of a prime of the union fails it.
     """
     chain = _checked_chain(ambient, chain)
     spectra = []  # per stage: its primes, as sets of ambient elements, by position
-    for stage in chain:
+    last = len(chain) - 1
+    for i, stage in enumerate(chain):
         members = sorted(stage)  # a local index's ambient element
-        primes = primes_bruteforce(submonoid_as_monoid(ambient, stage)[0]).points
+        M = submonoid_as_monoid(ambient, stage)[0]
+        primes = route_primes(M, "hom") if i == last else primes_bruteforce(M).points
         spectra.append({frozenset(members[x] for x in p): k for k, p in enumerate(primes)})
     maps = {}
     for i in range(len(chain) - 1):

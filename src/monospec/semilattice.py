@@ -109,43 +109,37 @@ def is_meet_morphism(f: MonotoneMap) -> bool:
     )
 
 
+def _adjoint(f: MonotoneMap, related, combine) -> MonotoneMap:
+    """The map y -> combine of {x | related(f(x), y)}, from f's target to its source."""
+    src, tgt, im = f.source, f.target, f.images
+    images = tuple(reduce(combine, [x for x in src.elements() if related(im[x], y)])
+                   for y in tgt.elements())
+    return MonotoneMap(tgt, src, images)
+
+
 def right_adjoint(f: MonotoneMap) -> MonotoneMap:
     """The map y -> Max{x | f(x) <= y}, characterized by f(x) <= y iff x <= g(y).
 
     f is checked to preserve joins and the least element, which guarantees
-    every Max exists.
+    every Max exists: f(0) = 0 <= y, so the set is nonempty, and f of its
+    join is the join of its images, again below y.
     """
     if not is_join_morphism(f):
         raise ValidationError("map does not preserve joins and the least element")
-    src, tgt = f.source, f.target
-    images = []
-    for y in tgt.elements():
-        cand = [x for x in src.elements() if tgt.leq[f.images[x]][y]]
-        if not cand:
-            raise ValidationError(f"no greatest element: nothing maps below target element {y}")
-        g = reduce(src.join, cand)
-        if not tgt.leq[f.images[g]][y]:
-            raise ValidationError(f"no greatest element in the bound set for target element {y}")
-        images.append(g)
-    return monotone_map(tgt, src, images)
+    leq = f.target.leq
+    return _adjoint(f, lambda fx, y: leq[fx][y], f.source.join)
 
 
 def left_adjoint(g: MonotoneMap) -> MonotoneMap:
-    """The map y -> Min{x | y <= g(x)}, characterized by h(y) <= x iff y <= g(x)."""
+    """The map y -> Min{x | y <= g(x)}, characterized by h(y) <= x iff y <= g(x).
+
+    g is checked to preserve meets and the top, which guarantees every Min
+    exists, dually to `right_adjoint`.
+    """
     if not is_meet_morphism(g):
         raise ValidationError("map does not preserve meets and the top")
-    src, tgt = g.source, g.target
-    src_meet = meet_table(src)
-    images = []
-    for y in tgt.elements():
-        cand = [x for x in src.elements() if tgt.leq[y][g.images[x]]]
-        if not cand:
-            raise ValidationError(f"no least element: nothing maps above target element {y}")
-        m = reduce(lambda a, b: src_meet[a][b], cand)
-        if not tgt.leq[y][g.images[m]]:
-            raise ValidationError(f"no least element in the bound set for target element {y}")
-        images.append(m)
-    return monotone_map(tgt, src, images)
+    leq, meets = g.target.leq, meet_table(g.source)
+    return _adjoint(g, lambda gx, y: leq[y][gx], lambda a, b: meets[a][b])
 
 
 def check_adjunction(f: MonotoneMap, g: MonotoneMap) -> bool:

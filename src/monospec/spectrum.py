@@ -28,7 +28,7 @@ from .core import (
     units,
 )
 from .errors import HypothesisError, IntegrityError, ValidationError
-from .presentation import Presentation, sl_of_presentation
+from .presentation import Presentation
 from .semilattice import (
     JoinSemilattice,
     MonotoneMap,
@@ -176,22 +176,14 @@ def route_primes(M: FiniteMonoid, via: str, cap: int = SUBSET_CAP) -> tuple[froz
     return tuple(sorted(map(theta, monoid_homs(M, sierpinski())), key=canonical_key))
 
 
-def spec_presentation(P: Presentation, cap: int = SUBSET_CAP):
-    """Spec of a presented (possibly infinite) monoid, as generator supports.
-
-    Returns (L, gen_images, spectrum of L, supports) where each support is the
-    frozenset of generator indices whose principal ideals the prime contains.
-    Raises CapExceeded when P has more than `cap` generators or L more than
-    `cap` elements.
-    """
-    L, gen_images = sl_of_presentation(P, cap)
-    S = build_spectrum(L.monoid, [alpha(L, a) for a in L.elements()])
-    supports = tuple(
-        frozenset(i for i, g in enumerate(gen_images) if g in p) for p in S.points
-    )
-    if len(set(supports)) != len(S.points):
+def generator_supports(gen_images, points) -> tuple[frozenset[int], ...]:
+    """Each prime of a presented monoid's reflection as the set of generator
+    indices whose images it contains; raises IntegrityError unless these
+    sets tell the primes apart."""
+    supports = tuple(frozenset(i for i, g in enumerate(gen_images) if g in p) for p in points)
+    if len(set(supports)) != len(supports):
         raise IntegrityError("generator supports do not separate the primes")
-    return L, gen_images, S, supports
+    return supports
 
 
 def render_support(P: Presentation, gens) -> str:

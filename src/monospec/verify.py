@@ -44,7 +44,13 @@ from .corpus import (
 )
 from .errors import HypothesisError, ValidationError
 from .limits import profinite_check, zg_check
-from .presentation import Presentation, free_semilattice, subsets_in_order, support
+from .presentation import (
+    Presentation,
+    free_semilattice,
+    sl_of_presentation,
+    subsets_in_order,
+    support,
+)
 from .semilattice import (
     JoinSemilattice,
     MonotoneMap,
@@ -69,7 +75,6 @@ from .spectrum import (
     route_primes,
     sierpinski,
     spec_cubed_check,
-    spec_presentation,
     spec_spec_check,
     theta,
     theta_inverse,
@@ -145,7 +150,7 @@ def count_failures(holds, items) -> int:
 
 def presented_routes_agree(P) -> bool:
     """The reflection equals `free_quotient`, and the routes agree on it."""
-    L, gen_images, _, _ = spec_presentation(P)
+    L, gen_images = sl_of_presentation(P)
     return free_quotient(P) == (L.monoid, gen_images) and routes_agree(L.monoid)
 
 

@@ -51,7 +51,8 @@ def test_zg_trivial_chain():
 
 
 def test_zg_computes_each_spectrum_once(monkeypatch):
-    """The union is the last stage, so its primes are not computed again."""
+    """The union is the last stage, so its primes are not computed again;
+    they come from the hom route, so brute force reads only the stages below."""
     calls = []
 
     def counting(M, *args, **kwargs):
@@ -61,7 +62,19 @@ def test_zg_computes_each_spectrum_once(monkeypatch):
     monkeypatch.setattr(limits, "primes_bruteforce", counting)
     F = free_semilattice(2).monoid
     assert zg_check(F, [frozenset({0}), frozenset({0, 1}), frozenset(range(4))])
-    assert calls == [1, 2, 4]
+    assert calls == [1, 2]
+
+
+def test_zg_fails_when_every_stage_spectrum_is_cut_to_the_empty_prime(monkeypatch):
+    """The union's primes come from an independent route, so stage spectra
+    missing primes cannot agree with each other and pass."""
+    def faulty(M, *args, **kwargs):
+        S = primes_bruteforce(M, *args, **kwargs)
+        return S._replace(points=S.points[:1])
+
+    monkeypatch.setattr(limits, "primes_bruteforce", faulty)
+    F = free_semilattice(2).monoid
+    assert zg_check(F, [frozenset({0}), frozenset({0, 1}), frozenset(range(4))]) is False
 
 
 def test_zg_fails_on_a_stage_spectrum_missing_a_prime(monkeypatch):

@@ -9,7 +9,7 @@ from monospec.congruence import sl_reflection
 from monospec.core import MonoidMap, direct_product, monoid_homs, sierpinski, validate_monoid
 from monospec.corpus import chain_semilattice, corpus_monoids, cyclic_group, cyclic_monoid
 from monospec.errors import CapExceeded, HypothesisError, IntegrityError, ValidationError
-from monospec.presentation import free_semilattice, parse_presentation
+from monospec.presentation import free_semilattice, parse_presentation, sl_of_presentation
 from monospec.semilattice import from_monoid
 from monospec.spectrum import (
     alpha,
@@ -17,14 +17,15 @@ from monospec.spectrum import (
     build_spectrum,
     canonical_key,
     ev_check,
+    generator_supports,
     greatest_prime,
     naturality_square,
     power_submonoid_check,
     primes_bruteforce,
     render_support,
+    route_primes,
     spec_cubed_check,
     spec_monoid,
-    spec_presentation,
     spec_spec_check,
     spectrum_monoid,
     theta,
@@ -166,6 +167,23 @@ def test_build_spectrum_fault_is_caught(monkeypatch, capsys):
     assert _routes_disagree(capsys) == (20, 20)
 
 
+def test_alpha_fault_is_caught_on_a_presentation(monkeypatch, capsys):
+    """`spec` prints the alpha route's own points for a `.pres` too, so an
+    alpha route missing a prime makes the routes disagree there."""
+    valid = spectrum.spec_monoid
+
+    def faulty(M, *args, **kwargs):
+        S = valid(M, *args, **kwargs)
+        return S._replace(points=S.points[:-1])
+
+    monkeypatch.setattr(spectrum, "spec_monoid", faulty)
+    data = Path(__file__).resolve().parent.parent / "data"
+    assert cli.main(["spec", "--via", "all", str(data / "xy.pres")]) == 2
+    captured = capsys.readouterr()
+    assert "routes agree: NO" in captured.out
+    assert "routes disagree" in captured.err
+
+
 def test_brute_fault_fails_topology_checks(monkeypatch):
     """A missing or swapped prime makes the topology checks fail, not raise."""
     L = free_semilattice(2)
@@ -266,15 +284,29 @@ def test_spec_monoid_reduction_route():
     assert spec_monoid(M).points == primes_bruteforce(M).points
 
 
+def _presented_supports(P):
+    """The generator supports of P's primes, read off its reflection's alpha route."""
+    L, gen_images = sl_of_presentation(P)
+    return generator_supports(gen_images, route_primes(L.monoid, "alpha"))
+
+
 def test_spec_presentation_examples():
     P = parse_presentation("gens: t")
-    _, _, S, supports = spec_presentation(P)
+    supports = _presented_supports(P)
     assert sorted(supports, key=canonical_key) == [frozenset(), frozenset({0})]
     assert render_support(P, supports[1]) == "(t)"
 
     P2 = parse_presentation("gens: x y")
-    _, _, S2, supports2 = spec_presentation(P2)
+    supports2 = _presented_supports(P2)
     assert sorted(len(s) for s in supports2) == [0, 1, 1, 2]
+
+
+def test_generator_supports_must_separate_the_primes():
+    """Two primes holding the same generators are a bug, not bad input."""
+    points = (frozenset(), frozenset({1}), frozenset({1, 2}))
+    assert generator_supports((1, 2), points) == (frozenset(), frozenset({0}), frozenset({0, 1}))
+    with pytest.raises(IntegrityError, match="do not separate"):
+        generator_supports((1,), points)
 
 
 def test_spec_union():

@@ -128,7 +128,7 @@ def test_memo_hands_out_values_no_caller_can_change(run_memos):
 
 
 def test_corpus_and_routes_share_presented_reflections():
-    """`corpus_presentations` reflects each candidate as `spec_presentation` does,
+    """`corpus_presentations` reflects each candidate as the route suite does,
     so inside one scope the route suite reuses every accepted reflection."""
     with core.memo_scope():
         presentations = corpus_presentations(0, count=30)
