@@ -93,20 +93,18 @@ def quotient(M: FiniteMonoid, C: Congruence) -> tuple[FiniteMonoid, MonoidMap]:
     """The quotient monoid on class representatives plus the projection map.
 
     The identity's class is first (representatives are sorted), so the quotient
-    needs no relabeling.
+    needs no relabeling.  A congruence of singletons has M itself as quotient.
     """
     if C.owner != M:
         raise ValidationError("congruence belongs to a different monoid")
+    if len(C.classes) == M.size:
+        return M, MonoidMap(M, M, C.class_of)
     reps = [cls[0] for cls in C.classes]
     class_of, mt = C.class_of, M.table
     table = tuple(
         tuple(class_of[mt[a][b]] for b in reps) for a in reps
     )
-    if len(reps) == M.size:
-        names = M.names
-    else:
-        names = tuple(f"[{M.names[r]}]" for r in reps)
-    Q = FiniteMonoid(table, names)
+    Q = FiniteMonoid(table, tuple(f"[{M.names[r]}]" for r in reps))
     return Q, MonoidMap(M, Q, C.class_of)
 
 

@@ -148,12 +148,12 @@ def corpus_semilattices(seed: int, count: int = 40, max_size: int = 10) -> list[
 MAX_REFLECTION = 12
 
 
-def corpus_presentations(seed: int, count: int = 60, max_gens: int = 6) -> list[Presentation]:
+def corpus_presentations(seed: int, count: int = 60) -> list[Presentation]:
     """Random presentations whose reflections have at most MAX_REFLECTION elements."""
     rng = random.Random(f"presentations:{seed}")
     out = [Presentation(("t",), ())]
     while len(out) < count:
-        k = rng.randint(1, max_gens)
+        k = rng.randint(1, 6)
         rels = []
         for _ in range(rng.randint(0, k)):
             u = tuple(rng.choice([0, 0, 1, 2]) for _ in range(k))
@@ -169,11 +169,10 @@ def corpus_presentations(seed: int, count: int = 60, max_gens: int = 6) -> list[
     return out
 
 
-def corpus_join_morphisms(seed: int, count: int = 120, max_size: int = 6) -> list[MonotoneMap]:
+def corpus_join_morphisms(seed: int, count: int = 120) -> list[MonotoneMap]:
     """Join-morphisms sampled as monoid homs between corpus semilattices."""
     rng = random.Random(f"morphisms:{seed}")
-    lattices = [L for L in corpus_semilattices(seed, count=30, max_size=max_size)
-                if 2 <= L.size <= max_size]
+    lattices = [L for L in corpus_semilattices(seed, count=30, max_size=6) if L.size >= 2]
     out = []
     attempts = 0
     while len(out) < count and attempts < count * 20:
@@ -187,11 +186,10 @@ def corpus_join_morphisms(seed: int, count: int = 120, max_size: int = 6) -> lis
     return out
 
 
-def corpus_submonoid_chains(seed: int, count: int = 60, max_size: int = 8):
+def corpus_submonoid_chains(seed: int, count: int = 60):
     """(ambient, increasing submonoid chain) pairs."""
     rng = random.Random(f"chains:{seed}")
-    monoids = [M for M in corpus_monoids(seed, count=80, max_size=max_size)
-               if M.size <= max_size]
+    monoids = corpus_monoids(seed, count=80, max_size=8)
     out = []
     while len(out) < count:
         M = rng.choice(monoids)
@@ -206,11 +204,10 @@ def corpus_submonoid_chains(seed: int, count: int = 60, max_size: int = 8):
     return out
 
 
-def corpus_power_pairs(seed: int, count: int = 60, max_size: int = 8):
+def corpus_power_pairs(seed: int, count: int = 60):
     """(A, B) with B a submonoid containing a power of every element of A."""
     rng = random.Random(f"powers:{seed}")
-    monoids = [M for M in corpus_monoids(seed, count=80, max_size=max_size)
-               if M.size <= max_size]
+    monoids = corpus_monoids(seed, count=80, max_size=8)
     out = []
     while len(out) < count:
         A = rng.choice(monoids)

@@ -22,13 +22,17 @@ from .spectrum import alpha, canonical_key, primes_bruteforce, route_primes
 class InverseSystem(NamedTuple):
     """Finite point sets per stage with transition maps toward smaller stages.
 
-    `relations` holds pairs (low, high), the keys of `maps`, unchecked;
-    `maps[(low, high)]` sends each point of stage `high` to a point of `low`.
+    `maps[(low, high)]` sends each point of stage `high` to a point of `low`;
+    the system's relations are the keys of `maps`.
     """
 
     sizes: list[int]
-    relations: list[tuple[int, int]]
     maps: dict[tuple[int, int], tuple[int, ...]]
+
+    @property
+    def relations(self) -> list[tuple[int, int]]:
+        """The pairs (low, high) that have a transition map, sorted."""
+        return sorted(self.maps)
 
 
 def inverse_limit(system: InverseSystem) -> list[tuple[int, ...]]:
@@ -46,7 +50,8 @@ def inverse_limit(system: InverseSystem) -> list[tuple[int, ...]]:
     if n == 0:
         return [()]
     below: dict[int, list[int]] = {}
-    for (i, j) in system.relations:
+    maps = system.maps
+    for (i, j) in maps:
         if i != j:
             below.setdefault(j, []).append(i)
     tops = set(range(n)).difference(*below.values())
@@ -60,9 +65,8 @@ def inverse_limit(system: InverseSystem) -> list[tuple[int, ...]]:
                 edges.append((low, high))
     if len(tops) != 1 or len(order) != n:
         raise ValidationError("the system has no greatest stage")
-    maps = system.maps
     tree = [(i, j, maps[(i, j)]) for (i, j) in edges]
-    relations = [(i, j, maps[(i, j)]) for (i, j) in system.relations]
+    relations = [(i, j, t) for (i, j), t in maps.items()]
     families = []
     for p in range(system.sizes[order[0]]):
         choice = [0] * n
@@ -115,7 +119,7 @@ def zg_check(ambient: FiniteMonoid, chain) -> bool:
         if None in t:
             return False
         maps[(i, i + 1)] = t
-    system = InverseSystem(list(map(len, spectra)), list(maps), maps)
+    system = InverseSystem(list(map(len, spectra)), maps)
     # the union is the last stage, so each image ends at its own prime; every
     # p & S is a point, being (p & T) & S for the stage T just above S
     images = [tuple(position[p & stage] for stage, position in zip(chain, spectra))
@@ -193,7 +197,7 @@ def profinite_system(L: JoinSemilattice) -> tuple[list[tuple[int, ...]], Inverse
                         below = table[below][s]
                 t[high.index(x)] = low.index(below)
                 maps[(i, j)] = tuple(t)
-    return stages, InverseSystem([len(s) for s in stages], sorted(maps), maps)
+    return stages, InverseSystem([len(s) for s in stages], maps)
 
 
 def profinite_spec(L: JoinSemilattice):

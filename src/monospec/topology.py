@@ -103,13 +103,13 @@ def ideal_opens(L: JoinSemilattice, cap: int = SUBSET_CAP) -> FiniteTopology:
     return FiniteTopology(n, _canonical(opens))
 
 
-def product_topology_on_homs(M: FiniteMonoid, homs=None) -> FiniteTopology:
+def product_topology_on_homs(M: FiniteMonoid) -> FiniteTopology:
     """Topology induced on Hom(M, 2) by the product of Sierpinski factors.
 
-    Subbasic opens fix one source element to the unit value.
+    Its points are the homs in the order `monoid_homs(M, sierpinski())`
+    lists them.  Subbasic opens fix one source element to the unit value.
     """
-    if homs is None:
-        homs = monoid_homs(M, sierpinski())
+    homs = monoid_homs(M, sierpinski())
     subbasis = [
         frozenset(j for j, h in enumerate(homs) if h.images[m] == 0) for m in M.elements()
     ]
@@ -157,13 +157,11 @@ def theta_homeo_check(M: FiniteMonoid) -> bool:
     """The hom/prime correspondence is a homeomorphism for the two topologies."""
     S = primes_bruteforce(M)
     homs = monoid_homs(M, sierpinski())
-    if len(homs) != len(S.points):
-        return False
     point_index = {p: i for i, p in enumerate(S.points)}
     bijection = [point_index.get(theta(h)) for h in homs]
     if None in bijection or sorted(bijection) != list(range(len(S.points))):
         return False
-    T1 = product_topology_on_homs(M, homs)
+    T1 = product_topology_on_homs(M)
     T2 = spec_topology(M, S)
     return is_homeomorphism(bijection, T1, T2)
 
@@ -178,12 +176,6 @@ def alpha_opens_check(L: JoinSemilattice) -> bool:
     return is_homeomorphism(amap, ideal_opens(L), spec_topology(L.monoid, S))
 
 
-def format_opens(T: FiniteTopology, names=None) -> str:
-    """One open per line, canonical order."""
-    lines = []
-    for o in T.opens:
-        if names is None:
-            lines.append("{" + ", ".join(str(x) for x in sorted(o)) + "}")
-        else:
-            lines.append("{" + ", ".join(names[x] for x in sorted(o)) + "}")
-    return "\n".join(lines) + "\n"
+def format_opens(T: FiniteTopology, names) -> str:
+    """One open per line, canonical order, each point by its name."""
+    return "".join("{" + ", ".join(names[x] for x in sorted(o)) + "}\n" for o in T.opens)

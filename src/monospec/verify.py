@@ -307,7 +307,7 @@ def suite_corpora(seed: int = 0, quick: bool = False) -> dict:
     monoids = corpus_monoids(seed, count=150, max_size=10)
     return {
         "three_routes": (monoids[:150 // scale],
-                         corpus_presentations(seed, count=60 // scale, max_gens=6)),
+                         corpus_presentations(seed, count=60 // scale)),
         "theta": ([M for M in monoids[:120] if M.size <= 8],),
         "alpha_suite": (lattices,),
         "naturality": (join_maps,),
@@ -315,7 +315,7 @@ def suite_corpora(seed: int = 0, quick: bool = False) -> dict:
         "power_submonoid": (corpus_power_pairs(seed, count=60 // scale),),
         "duals": ([L for L in lattices if L.size <= 8],),
         "limits": (corpus_submonoid_chains(seed, count=60 // scale),
-                   [L for L in corpus_semilattices(seed, count=40, max_size=8) if L.size <= 8]),
+                   corpus_semilattices(seed, count=40, max_size=8)),
         "adjoints": adjoint_items(join_maps),
         "module_invariants": (corpus_monoids(seed, count=60, max_size=8),),
     }

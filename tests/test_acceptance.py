@@ -60,7 +60,7 @@ def test_criterion_2_spec_of_two_element_monoid():
 def test_criterion_3_three_route_agreement():
     start = time.monotonic()
     monoids = corpus_monoids(SEED, count=150, max_size=10)
-    presentations = corpus_presentations(SEED, count=60, max_gens=6)
+    presentations = corpus_presentations(SEED, count=60)
     _, fails, total = run_suite("three_routes", monoids, presentations)
     assert total >= 200
     elapsed = time.monotonic() - start

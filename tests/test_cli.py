@@ -106,6 +106,46 @@ def test_parse_error_exit_code(files, capsys):
         assert "error:" in captured.err and captured.out == ""
 
 
+_TABLE_AB = "elements: a b\nidentity: a\ntable:\n"
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["spec", "e.mon"], "# only a comment\n", "empty input"),
+    (["spec", "e.mon"], "elements: a\n", "line 1: missing `identity:` line"),
+    (["spec", "e.mon"], "elements:\nidentity: a\n", "line 1: no element names"),
+    (["spec", "e.mon"], "elements: a b a\n", "line 1: duplicate element name 'a'"),
+    (["spec", "e.mon"], "elements: a\nidentity: a\ntable: a\n",
+     "line 3: table rows start on the following lines"),
+    (["spec", "e.mon"], _TABLE_AB + "a\nb b\n", "line 4: row has 1 entries, expected 2"),
+    (["spec", "e.mon"], _TABLE_AB + "a b\nb c\n", "line 5: unknown element name 'c'"),
+    (["spec", "e.pres"], "\n# only a comment\n", "empty input"),
+    (["spec", "e.pres"], "gens:\n", "line 1: no generators listed"),
+    (["spec", "e.pres"], "gens: x 2y\n", "line 1: bad generator name '2y'"),
+    (["spec", "e.pres"], "gens: x y x\n", "line 1: duplicate generator 'x'"),
+    (["spec", "e.pres"], "gens: x\nx = 1\n", "line 2: expected `rels:` line"),
+    (["spec", "e.pres"], "gens: x\nrels:\nx = 1\n", "line 3: unexpected extra line"),
+    (["spec", "e.pres"], "gens: x\nrels: x = x^2 !\n", "line 2, col 15: cannot read word near '!'"),
+    (["spec", "e.pres"], "gens: x\nrels: x =\n",
+     "line 2, col 10: empty word (use `1` for the identity)"),
+    (["adjoint", "chain2.mon", "chain3.mon", "--images", "a", "z"], None,
+     "unknown target element 'z'"),
+    (["adjoint", "chain2.mon", "chain3.mon", "--images", "a"], None, "1 images for 2 elements"),
+    (["adjoint", "chain2.mon", "chain3.mon", "--images", "b", "a"], None,
+     "not monotone: 0 <= 1 but images 1 !<= 0"),
+    (["adjoint", "chain2.mon", "chain3.mon", "--images", "a", "b", "--left"], None,
+     "map does not preserve meets and the top"),
+])
+def test_input_errors_exit_1_with_their_message(files, argv, text, message, capsys):
+    """Each reachable input error prints `error: ` and its message, with the
+    line (and column) where it has them, and exits 1 with nothing on stdout."""
+    if text is not None:
+        (files / argv[1]).write_text(text)
+    argv = [str(files / a) if a.endswith((".mon", ".pres")) else a for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_unknown_extension(files, tmp_path, capsys):
     f = tmp_path / "x.txt"
     f.write_text("gens: t\n")

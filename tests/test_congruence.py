@@ -46,6 +46,12 @@ def test_quotient_discrete_is_isomorphic():
     assert q.images == (0, 1)
 
 
+def test_quotient_by_singletons_is_the_monoid_itself():
+    for M in (z2(), t4_is_t2(), chain_semilattice(3).monoid):
+        Q, q = quotient(M, congruence_closure(M, []))
+        assert Q is M and q.source is M and q.images == tuple(M.elements())
+
+
 def test_quotient_total_is_trivial():
     M = z2()
     Q, _ = quotient(M, congruence_closure(M, [(0, 1)]))

@@ -77,6 +77,18 @@ def test_validation_witnesses():
         validate_monoid([[0, 1], [1]], identity=0)
 
 
+@pytest.mark.parametrize("table, identity, names, message", [
+    ([], 0, None, "empty table: a monoid needs at least the identity"),
+    ([[0, 2], [1, 1]], 0, None, "entry (0,1) = 2 is out of range [0,2)"),
+    ([[0, 1], [1, 1]], 2, None, "identity index 2 is out of range [0,2)"),
+    ([[0, 1], [1, 1]], 0, ["a"], "1 names for 2 elements"),
+])
+def test_validation_errors_only_the_api_reaches(table, identity, names, message):
+    with pytest.raises(ValidationError) as caught:
+        validate_monoid(table, identity=identity, names=names)
+    assert str(caught.value) == message
+
+
 def test_is_idempotent():
     assert is_idempotent(sierpinski())
     assert not is_idempotent(z2())

@@ -21,22 +21,22 @@ from monospec.spectrum import primes_bruteforce
 
 
 def test_inverse_limit_identity_self_transition():
-    assert inverse_limit(InverseSystem([2], [(0, 0)], {(0, 0): (0, 1)})) == [(0,), (1,)]
+    assert inverse_limit(InverseSystem([2], {(0, 0): (0, 1)})) == [(0,), (1,)]
 
 
 def test_inverse_limit_single_stage():
-    sys1 = InverseSystem([3], [], {})
+    sys1 = InverseSystem([3], {})
     assert inverse_limit(sys1) == [(0,), (1,), (2,)]
 
 
 def test_inverse_limit_constant_map():
-    sys2 = InverseSystem([1, 3], [(0, 1)], {(0, 1): (0, 0, 0)})
+    sys2 = InverseSystem([1, 3], {(0, 1): (0, 0, 0)})
     assert inverse_limit(sys2) == [(0, 0), (0, 1), (0, 2)]
 
 
 def test_inverse_limit_needs_a_greatest_stage():
     with pytest.raises(ValidationError, match="greatest stage"):
-        inverse_limit(InverseSystem([2, 2], [], {}))
+        inverse_limit(InverseSystem([2, 2], {}))
 
 
 def test_zg_on_free_semilattice_chain():
@@ -170,12 +170,11 @@ def test_profinite_system_relates_covers():
 def test_inverse_limit_checks_relations_off_the_tree():
     """On the diamond of chain(3)'s covers the BFS tree from stage 3 uses
     (1, 3), (2, 3) and (0, 1); a fault in (0, 2) shows only in the check."""
-    relations = [(0, 1), (0, 2), (1, 3), (2, 3)]
     maps = {(0, 1): (0, 0, 1), (0, 2): (0, 0, 1), (1, 3): (0, 1, 2), (2, 3): (0, 1, 2)}
-    coherent = inverse_limit(InverseSystem([2, 3, 3, 3], relations, maps))
+    coherent = inverse_limit(InverseSystem([2, 3, 3, 3], maps))
     assert coherent == [(0, 0, 0, 0), (0, 1, 1, 1), (1, 2, 2, 2)]
     maps[(0, 2)] = (0, 1, 1)  # top point 1 reaches stage 0 as 0 via stage 1, as 1 via stage 2
-    assert inverse_limit(InverseSystem([2, 3, 3, 3], relations, maps)) == [
+    assert inverse_limit(InverseSystem([2, 3, 3, 3], maps)) == [
         (0, 0, 0, 0), (1, 2, 2, 2)]
 
 
@@ -200,7 +199,7 @@ def test_wrong_transition_is_caught(monkeypatch):
         t = list(maps[rel])
         t[0] = (t[0] + 1) % sizes[rel[0]]
         maps[rel] = tuple(t)
-        return valid_limit(InverseSystem(sizes, system.relations, maps))
+        return valid_limit(InverseSystem(sizes, maps))
 
     monkeypatch.setattr(limits, "inverse_limit", faulty)
     for L in (free_semilattice(2), chain_semilattice(3), free_semilattice(3)):
