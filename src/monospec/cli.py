@@ -11,7 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import dot as dot_mod
 from .congruence import sl_reflection
 from .core import SUBSET_CAP, format_monoid_table, parse_monoid_table, render_set
 from .errors import InputError, IntegrityError
@@ -25,7 +24,6 @@ from .spectrum import (
     route_primes,
     spectrum_monoid,
 )
-from .topology import format_opens, ideal_opens
 
 
 def _load(path: str, kind: str | None, cap: int = SUBSET_CAP):
@@ -102,17 +100,21 @@ def cmd_sl(args) -> int:
 
 
 def cmd_dot(args) -> int:
+    from .dot import hasse_dot  # loaded here, so no other command pays for it
+
     L, _ = sl_reflection(_load(args.input, args.kind, args.cap)[0])
     if args.spec:
         S = primes_bruteforce(L.monoid, cap=args.cap)
         L = from_monoid(spectrum_monoid(S))
-        print(dot_mod.hasse_dot(L, graph_name="spec"), end="")
+        print(hasse_dot(L, graph_name="spec"), end="")
     else:
-        print(dot_mod.hasse_dot(L), end="")
+        print(hasse_dot(L), end="")
     return 0
 
 
 def cmd_topology(args) -> int:
+    from .topology import format_opens, ideal_opens  # as for `dot`
+
     L, _ = sl_reflection(_load(args.input, args.kind, args.cap)[0])
     T = ideal_opens(L, cap=args.cap)
     print(format_opens(T, names=L.names), end="")

@@ -31,11 +31,12 @@ class Presentation(NamedTuple):
 def _parse_word(text: str, gens: dict[str, int], lineno: int, offset: int) -> tuple[int, ...]:
     exps = [0] * len(gens)
     s = text.strip()
+    if not s:  # an all-blank side is reported where it begins
+        raise ParseError("empty word (use `1` for the identity)", line=lineno, column=offset + 1)
     offset += len(text) - len(text.lstrip())  # columns count the stripped prefix
     if s == "1":
         return tuple(exps)
     pos = 0
-    found = False
     while pos < len(s):
         if s[pos].isspace():
             pos += 1
@@ -52,10 +53,7 @@ def _parse_word(text: str, gens: dict[str, int], lineno: int, offset: int) -> tu
             if exp < 0:
                 raise ParseError(f"negative exponent {exp}", line=lineno, column=offset + m.start(3) + 1)
         exps[gens[name]] += exp
-        found = True
         pos = m.end()
-    if not found:
-        raise ParseError("empty word (use `1` for the identity)", line=lineno, column=offset + 1)
     return tuple(exps)
 
 

@@ -163,15 +163,3 @@ def compose_monotone(f: MonotoneMap, g: MonotoneMap) -> MonotoneMap:
         raise ValidationError("composition endpoints do not match")
     return MonotoneMap(f.source, g.target, tuple(g.images[x] for x in f.images))
 
-
-def cover_pairs(L: JoinSemilattice) -> list[tuple[int, int]]:
-    """The Hasse covers: (a, b) with a < b and nothing strictly between."""
-    covers = []
-    for a in L.elements():
-        for b in L.elements():
-            if a == b or not L.leq[a][b]:
-                continue
-            if any(c != a and c != b and L.leq[a][c] and L.leq[c][b] for c in L.elements()):
-                continue
-            covers.append((a, b))
-    return covers

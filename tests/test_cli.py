@@ -232,18 +232,40 @@ def test_golden_output(name, command, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.{command}.out").read_text()
 
 
-def test_cli_import_leaves_the_suites_unloaded():
-    """`import monospec.cli` newly loads no verify suite, corpus or dataclasses.
+def _newly_loaded(argv=None) -> set[str]:
+    """The modules that `import monospec.cli`, then `cli.main(argv)` unless
+    argv is None, newly load in a fresh interpreter; the call must exit 0.
 
-    Only the modules the import adds count, so a module that the interpreter
-    loads at start-up (from a .pth file, say) cannot fail this test.
+    Only the modules these statements add count, so a module that the
+    interpreter loads at start-up (from a .pth file, say) cannot fail a test.
     """
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    call = "0" if argv is None else f"monospec.cli.main({argv!r})"
     code = ("import sys; before = set(sys.modules); import monospec.cli; "
-            "print(*sorted(set(sys.modules) - before))")
+            f"rc = {call}; "
+            "print(*sorted(set(sys.modules) - before), file=sys.stderr); sys.exit(rc)")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
-    loaded = set(result.stdout.split())
+    return set(result.stderr.split())
+
+
+def test_cli_import_leaves_the_suites_unloaded():
+    """`import monospec.cli` newly loads no verify suite, corpus, topology,
+    DOT writer or dataclasses."""
+    loaded = _newly_loaded()
     assert "monospec.cli" in loaded
-    assert loaded.isdisjoint({"dataclasses", "inspect", "monospec.verify", "monospec.corpus"})
+    assert loaded.isdisjoint({"dataclasses", "inspect", "monospec.verify", "monospec.corpus",
+                              "monospec.topology", "monospec.dot"})
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["spec", "--via", "all", "free3.mon"], set()),
+    (["sl", "xy.pres"], set()),
+    (["topology", "i.mon"], {"monospec.topology"}),
+    (["dot", "free3.mon"], {"monospec.dot"}),
+])
+def test_topology_and_dot_load_with_their_commands(argv, expected):
+    """`topology` and `dot` are loaded by their own commands only."""
+    argv = [str(DATA / a) if a.endswith((".mon", ".pres")) else a for a in argv]
+    assert _newly_loaded(argv) & {"monospec.topology", "monospec.dot"} == expected

@@ -56,7 +56,8 @@ def test_parse_errors_carry_location():
 def test_parse_error_columns_count_leading_spaces():
     for rels, column in (("rels: x = y", 11), ("rels: y = x", 7),
                          ("rels:    x = x;   y = x", 19), ("rels: x = x^-1", 13),
-                         ("rels: x = x;  x x", 15)):
+                         ("rels: x = x;  x x", 15), ("rels: x =  ", 10),
+                         ("rels:   x =  ;x=1", 12)):
         with pytest.raises(ParseError) as info:
             parse_presentation("gens: x\n" + rels)
         assert info.value.column == column, rels
