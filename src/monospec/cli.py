@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 input error (parse failure, cap exceeded, bad flags,
-unknown `--via` route), 2 integrity failure (independent routes disagree, or
-a self-check that holds by theorem fails: a bug, never bad input).
+unknown `--via` route), 2 integrity failure (independent routes disagree, a
+self-check that holds by theorem fails, or a `verify` suite fails: a bug,
+never bad input).
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from .semilattice import from_monoid, monotone_map, left_adjoint, right_adjoint
 from .spectrum import (
     ROUTES,
     generator_supports,
-    primes_bruteforce,
     render_support,
     route_primes,
+    spec_monoid,
     spectrum_monoid,
 )
 
@@ -104,7 +105,7 @@ def cmd_dot(args) -> int:
 
     L, _ = sl_reflection(_load(args.input, args.kind, args.cap)[0])
     if args.spec:
-        S = primes_bruteforce(L.monoid, cap=args.cap)
+        S = spec_monoid(L.monoid, args.cap)
         L = from_monoid(spectrum_monoid(S))
         print(hasse_dot(L, graph_name="spec"), end="")
     else:
@@ -141,12 +142,8 @@ def cmd_adjoint(args) -> int:
 
 def cmd_verify(args) -> int:
     # the suites and corpora load here, so no other command pays for them
-    from .verify import mutation_detected, run_all
+    from .verify import run_all
 
-    if args.mutate:
-        detected = mutation_detected(args.seed)
-        print("mutation detected" if detected else "mutation NOT detected")
-        return 0 if detected else 2
     results = run_all(seed=args.seed, quick=args.quick)
     all_ok = True
     for name, fails, total in results:
@@ -204,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the property suites over a seeded corpus")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quick", action="store_true", help="smaller corpus")
-    p.add_argument("--mutate", action="store_true",
-                   help="sanity mode: inject a table mutation, expect detection")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -110,10 +110,18 @@ def quotient(M: FiniteMonoid, C: Congruence) -> tuple[FiniteMonoid, MonoidMap]:
 
 @memoized
 def sl_reflection(M: FiniteMonoid) -> tuple[JoinSemilattice, MonoidMap]:
-    """The universal idempotent quotient, as a join semilattice, with q."""
+    """The universal idempotent quotient, as a join semilattice, with q.
+
+    The quotient by the closure of {(x, x*x)} is idempotent by theorem, so a
+    quotient that is not raises IntegrityError, not the ValidationError that
+    `from_monoid` raises for a table the user gave.
+    """
     C = congruence_closure(M, [(x, M.table[x][x]) for x in M.elements()])
     Q, q = quotient(M, C)
-    return from_monoid(Q), q
+    try:
+        return from_monoid(Q), q
+    except ValidationError as e:
+        raise IntegrityError(f"the reflection is {e}") from None
 
 
 def grillet_relation(M: FiniteMonoid) -> Congruence:

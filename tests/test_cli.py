@@ -7,6 +7,8 @@ from time import perf_counter
 import pytest
 
 from monospec.cli import main
+from monospec.core import format_monoid_table
+from monospec.presentation import free_semilattice
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -134,6 +136,8 @@ _TABLE_AB = "elements: a b\nidentity: a\ntable:\n"
      "not monotone: 0 <= 1 but images 1 !<= 0"),
     (["adjoint", "chain2.mon", "chain3.mon", "--images", "a", "b", "--left"], None,
      "map does not preserve meets and the top"),
+    (["adjoint", "z2.mon", "chain3.mon", "--images", "a", "b"], None,
+     "not idempotent: element 1 has 1*1 = 0"),
 ])
 def test_input_errors_exit_1_with_their_message(files, argv, text, message, capsys):
     """Each reachable input error prints `error: ` and its message, with the
@@ -183,6 +187,19 @@ def test_dot_spec_diamond(files, tmp_path, capsys):
     assert out.count("->") == 4  # diamond, order-reversed labels
 
 
+def test_dot_spec_past_32_elements(tmp_path, capsys):
+    """`dot --spec` reads the spectrum off the reflection, so it takes the
+    64-element free semilattice on 6 generators at `--cap 64`, where brute
+    force refuses anything past 32 elements whatever the cap."""
+    f = tmp_path / "free6.mon"
+    f.write_text(format_monoid_table(free_semilattice(6).monoid))
+    assert main(["dot", "--spec", "--cap", "64", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("digraph spec {") and out.count(" [label=") == 64
+    # one cover per prime and generator outside it: 6 * 2^5
+    assert out.count(" -> ") == 192
+
+
 def test_topology_command(files, capsys):
     assert main(["topology", str(files / "chain3.mon")]) == 0
     out = capsys.readouterr().out
@@ -218,9 +235,12 @@ def test_verify_golden_output(argv, golden, capsys):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
-def test_verify_mutation_mode(capsys):
-    assert main(["verify", "--mutate"]) == 0
-    assert "mutation detected" in capsys.readouterr().out
+def test_verify_mutate_is_an_unknown_flag(capsys):
+    """`verify` has no `--mutate` flag: a failing suite is its one way to report a fault."""
+    assert main(["verify", "--mutate"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: monospec: unrecognized arguments: --mutate\n"
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))

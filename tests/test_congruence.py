@@ -93,6 +93,25 @@ def test_unpropagated_closure_is_an_integrity_failure(monkeypatch, tmp_path, cap
     assert err.startswith("integrity failure: partition is not a congruence")
 
 
+def test_missed_merge_is_an_integrity_failure(monkeypatch, tmp_path, capsys):
+    """A closure that drops the last pair (x, x*x) with x != x*x leaves a
+    quotient that is not idempotent: the code is at fault, so exit 2."""
+    valid = congruence.congruence_closure
+
+    def missed(M, pairs):
+        pairs = list(pairs)
+        last = max(i for i, (a, b) in enumerate(pairs) if a != b)
+        return valid(M, pairs[:last] + pairs[last + 1:])
+
+    monkeypatch.setattr(congruence, "congruence_closure", missed)
+    f = tmp_path / "z2.mon"
+    f.write_text(format_monoid_table(z2()))
+    for argv in (["spec", "--via", "all", str(f)], ["sl", str(f)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "integrity failure: the reflection is not idempotent: element 1 has 1*1 = 0\n")
+
+
 def test_sl_reflection_examples():
     L, q = sl_reflection(sierpinski())
     assert L.monoid.table == sierpinski().table and q.images == (0, 1)

@@ -5,7 +5,9 @@ must count exactly what a plain per-item loop counts, and renaming every
 element leaves every suite's counts unchanged: verdicts read tables, not
 names, which is what makes keying them by table sound.  One `run_all` shares
 a memo that it drops when it returns or raises, hands out values no caller
-can change, and never hides a patched route.
+can change, and never hides a patched route.  A verdict that raises an input
+or integrity error fails its item, so a fault that makes a checker raise
+still prints every suite line.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ from monospec import core, limits, spectrum, topology, verify
 from monospec.cli import main
 from monospec.core import SUBSET_CAP, FiniteMonoid
 from monospec.corpus import corpus_monoids, corpus_presentations
+from monospec.errors import HypothesisError, IntegrityError, ValidationError
 from monospec.presentation import Presentation
 from monospec.semilattice import JoinSemilattice, MonotoneMap
 
@@ -46,6 +49,20 @@ def test_counts_match_a_per_item_loop(size3_fault):
     failing = [M.table for M in monoids if not verify.routes_agree(M)]
     # the fault bites, and repeated tables count once per occurrence
     assert 0 < len(set(failing)) < len(failing) < len(monoids)
+
+
+@pytest.mark.parametrize("error", [HypothesisError, ValidationError, IntegrityError])
+def test_a_raising_verdict_fails_each_occurrence(error):
+    judged = []
+
+    def holds(item):
+        judged.append(item)
+        if item % 2:
+            raise error(f"item {item}")
+        return item != 4
+
+    assert verify.count_failures(holds, [1, 2, 3, 1, 4, 3, 3, 2]) == 6
+    assert judged == [1, 2, 3, 4]
 
 
 def _renamed(item):
@@ -156,3 +173,25 @@ def test_brute_fault_fails_verify_through_the_cli(monkeypatch, capsys):
     assert main(["verify", "--seed", "0"]) == 2
     out = capsys.readouterr().out
     assert "FAIL three-route agreement" in out.splitlines()[0]
+
+
+def test_hom_bit_flip_fails_suites_through_the_cli(monkeypatch, capsys):
+    """A hom search that flips the last image of its last hom into {1, 0}
+    makes some checkers raise (a kernel that is not a prime ideal); each
+    raising verdict fails its item, so every suite line is printed."""
+    valid = core.monoid_homs
+
+    def flipped(M, N, *args, **kwargs):
+        homs = valid(M, N, *args, **kwargs)
+        if N.size != 2 or not homs:
+            return homs
+        last = homs[-1]
+        return homs[:-1] + (last._replace(images=last.images[:-1] + (1 - last.images[-1],)),)
+
+    for module in (verify, spectrum, topology):
+        monkeypatch.setattr(module, "monoid_homs", flipped)
+    assert main(["verify", "--quick", "--seed", "1"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 1)[1].rsplit(" (", 1)[0] for line in lines] == [
+        name for name, *_ in verify.SUITES.values()]
+    assert any(line.startswith("FAIL ") for line in lines)
