@@ -286,15 +286,14 @@ def is_hom(f: MonoidMap) -> bool:
 
 
 @memoized
-def monoid_homs(M: FiniteMonoid, N: FiniteMonoid, limit=None) -> tuple[MonoidMap, ...]:
+def monoid_homs(M: FiniteMonoid, N: FiniteMonoid) -> tuple[MonoidMap, ...]:
     """All monoid homomorphisms M -> N, in lexicographic order of image tuples.
 
     The search fixes the identity's image at 0, assigns elements 1, 2, ... in
     index order and tries their images in ascending order, so it finds the
     homs in that order.  The constraint table `checks[e]` lists each product
     a*b = p (a <= b) whose largest index max(b, p) is e; it is tested as soon
-    as e is assigned.  `limit` stops the search early once that many homs
-    were found.
+    as e is assigned.
     """
     n, m = M.size, N.size
     tgt = N.table
@@ -307,8 +306,6 @@ def monoid_homs(M: FiniteMonoid, N: FiniteMonoid, limit=None) -> tuple[MonoidMap
     out = []
 
     def assign(e: int):
-        if limit is not None and len(out) >= limit:
-            return
         if e == n:
             out.append(MonoidMap(M, N, tuple(images)))
             return
@@ -319,8 +316,6 @@ def monoid_homs(M: FiniteMonoid, N: FiniteMonoid, limit=None) -> tuple[MonoidMap
                     break
             else:
                 assign(e + 1)
-            if limit is not None and len(out) >= limit:
-                return
 
     assign(1)
     return tuple(out)

@@ -19,22 +19,15 @@ from .core import (
     MonoidMap,
     enforce_cap,
     is_hom,
-    is_submonoid,
     memoized,
     monoid_homs,
     render_set,
     sierpinski,
-    submonoid_as_monoid,
     units,
 )
-from .errors import HypothesisError, IntegrityError, ValidationError
+from .errors import IntegrityError, ValidationError
 from .presentation import Presentation
-from .semilattice import (
-    JoinSemilattice,
-    MonotoneMap,
-    from_monoid,
-    right_adjoint,
-)
+from .semilattice import JoinSemilattice
 
 
 #: The spectrum routes `spec --via` accepts, in output order.
@@ -195,96 +188,6 @@ def spectrum_monoid(S: Spectrum) -> FiniteMonoid:
     """The union monoid of a spectrum, points named by canonical member lists."""
     names = tuple(render_set(S.owner, p) for p in S.points)
     return FiniteMonoid(S.union_table, names)
-
-
-def naturality_square(f: MonotoneMap) -> bool:
-    """Alpha after the right adjoint equals preimage after alpha; `right_adjoint`
-    raises ValidationError unless f is a join morphism."""
-    g = right_adjoint(f)
-    L, Lp = f.source, f.target
-    for y in Lp.elements():
-        lhs = alpha(L, g.images[y])
-        rhs = frozenset(x for x in L.elements() if f.images[x] in alpha(Lp, y))
-        if lhs != rhs:
-            return False
-    return True
-
-
-def ev_check(M: FiniteMonoid) -> bool:
-    """Double-dual check for idempotent monoids: ev is a monoid isomorphism.
-
-    Both duals are hom sets into the two-element monoid, read as spectra; ev
-    sends m to the prime "evaluate at m" of the first dual, the set of points
-    that contain m.
-    """
-    S1 = build_spectrum(M, route_primes(M, "hom"))
-    H1 = spectrum_monoid(S1)
-    S2 = build_spectrum(H1, route_primes(H1, "hom"))
-    index2 = {p: i for i, p in enumerate(S2.points)}
-    ev_images = []
-    for m in M.elements():
-        ev = frozenset(i for i, p in enumerate(S1.points) if m in p)
-        if ev not in index2:
-            return False
-        ev_images.append(index2[ev])
-    if len(set(ev_images)) != M.size or M.size != len(S2.points):
-        return False
-    return is_hom(MonoidMap(M, spectrum_monoid(S2), tuple(ev_images)))
-
-
-def spec_spec_check(L: JoinSemilattice) -> bool:
-    """The double application of alpha is a semilattice isomorphism."""
-    S = primes_bruteforce(L.monoid)
-    SM = spectrum_monoid(S)
-    LS = from_monoid(SM)
-    SS = primes_bruteforce(SM)
-    point1 = {p: i for i, p in enumerate(S.points)}
-    point2 = {p: i for i, p in enumerate(SS.points)}
-
-    composite = []
-    for a in L.elements():
-        i1 = point1.get(alpha(L, a))
-        if i1 is None:
-            return False
-        p2 = alpha(LS, i1)
-        if p2 not in point2:
-            return False
-        composite.append(point2[p2])
-    if len(set(composite)) != len(SS.points):
-        return False
-    return is_hom(MonoidMap(L.monoid, spectrum_monoid(SS), tuple(composite)))
-
-
-def spec_cubed_check(M: FiniteMonoid) -> bool:
-    """|Spec^3(M)| = |Spec(M)| with the natural bijection, via the union monoid."""
-    S = spec_monoid(M)
-    return spec_spec_check(from_monoid(spectrum_monoid(S)))
-
-
-def power_submonoid_check(A: FiniteMonoid, B) -> bool:
-    """Restriction of primes is a bijection Spec(A) -> Spec(B).
-
-    Requires B to be a submonoid with some power of every element of A inside
-    it; a failing hypothesis raises HypothesisError and refutes nothing.
-    """
-    B = frozenset(B)
-    if not is_submonoid(A, B):
-        raise HypothesisError("B is not a submonoid of A")
-    for a in A.elements():
-        acc = a
-        for _ in range(A.size):
-            if acc in B:
-                break
-            acc = A.table[acc][a]
-        else:
-            raise HypothesisError(f"no power of element {a} lies in B")
-    Bmon, local = submonoid_as_monoid(A, B)
-    spec_a = primes_bruteforce(A)
-    spec_b = primes_bruteforce(Bmon)
-    restricted = [frozenset(local[x] for x in p if x in B) for p in spec_a.points]
-    if len(set(restricted)) != len(spec_a.points):
-        return False
-    return sorted(restricted, key=canonical_key) == list(spec_b.points)
 
 
 def greatest_prime(M: FiniteMonoid) -> frozenset[int]:

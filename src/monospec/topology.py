@@ -11,13 +11,7 @@ from typing import NamedTuple
 from .core import SUBSET_CAP, FiniteMonoid, enforce_cap, monoid_homs, sierpinski
 from .errors import ValidationError
 from .semilattice import JoinSemilattice
-from .spectrum import (
-    Spectrum,
-    alpha,
-    canonical_key,
-    primes_bruteforce,
-    theta,
-)
+from .spectrum import Spectrum, canonical_key
 
 
 class FiniteTopology(NamedTuple):
@@ -151,29 +145,6 @@ def union_continuous(S: Spectrum, T: FiniteTopology) -> bool:
                     if (a, b) not in pre:
                         return False
     return True
-
-
-def theta_homeo_check(M: FiniteMonoid) -> bool:
-    """The hom/prime correspondence is a homeomorphism for the two topologies."""
-    S = primes_bruteforce(M)
-    homs = monoid_homs(M, sierpinski())
-    point_index = {p: i for i, p in enumerate(S.points)}
-    bijection = [point_index.get(theta(h)) for h in homs]
-    if None in bijection or sorted(bijection) != list(range(len(S.points))):
-        return False
-    T1 = product_topology_on_homs(M)
-    T2 = spec_topology(M, S)
-    return is_homeomorphism(bijection, T1, T2)
-
-
-def alpha_opens_check(L: JoinSemilattice) -> bool:
-    """Downset-complement map carries the ideal topology onto the spectral one."""
-    S = primes_bruteforce(L.monoid)
-    point_index = {p: i for i, p in enumerate(S.points)}
-    amap = [point_index.get(alpha(L, a)) for a in L.elements()]
-    if None in amap or sorted(amap) != list(range(len(S.points))):
-        return False
-    return is_homeomorphism(amap, ideal_opens(L), spec_topology(L.monoid, S))
 
 
 def format_opens(T: FiniteTopology, names) -> str:

@@ -136,7 +136,7 @@ def test_hom_composition():
 
 
 def test_monoid_homs_matches_definition():
-    """The homs are the maps that pass is_hom, lexicographically; limit keeps a prefix."""
+    """The homs are the maps that pass is_hom, lexicographically."""
     targets = (sierpinski(), z2(), chain_semilattice(3).monoid, cyclic_monoid(1, 2))
     for M in corpus_monoids(0, 150, 5):
         for N in targets:
@@ -145,8 +145,6 @@ def test_monoid_homs_matches_definition():
                         ((0,) + rest for rest in product(range(N.size), repeat=M.size - 1))
                         if is_hom(MonoidMap(M, N, images))]
             assert [h.images for h in monoid_homs(M, N)] == expected
-            for k in (0, 1, len(expected) // 2, len(expected) + 1):
-                assert [h.images for h in monoid_homs(M, N, limit=k)] == expected[:k]
 
 
 @given(st.integers(1, 4).flatmap(

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from monospec import cli, limits, spectrum, topology, verify
+from monospec import cli, limits, spectrum, verify
 from monospec.congruence import sl_reflection
 from monospec.core import MonoidMap, direct_product, monoid_homs, sierpinski, validate_monoid
 from monospec.corpus import chain_semilattice, corpus_monoids, cyclic_group, cyclic_monoid
@@ -16,20 +16,22 @@ from monospec.spectrum import (
     beta,
     build_spectrum,
     canonical_key,
-    ev_check,
     generator_supports,
     greatest_prime,
-    naturality_square,
-    power_submonoid_check,
     primes_bruteforce,
     render_support,
     route_primes,
-    spec_cubed_check,
     spec_monoid,
-    spec_spec_check,
     spectrum_monoid,
     theta,
     theta_inverse,
+)
+from monospec.verify import (
+    ev_check,
+    naturality_square,
+    power_submonoid_check,
+    spec_cubed_check,
+    spec_spec_check,
 )
 
 
@@ -187,21 +189,20 @@ def test_alpha_fault_is_caught_on_a_presentation(monkeypatch, capsys):
 def test_brute_fault_fails_topology_checks(monkeypatch):
     """A missing or swapped prime makes the topology checks fail, not raise."""
     L = free_semilattice(2)
-    _drop_last_point(monkeypatch, topology)
-    assert topology.alpha_opens_check(L) is False
+    valid = verify.primes_bruteforce
+    _drop_last_point(monkeypatch, verify)
+    assert verify.alpha_holds(L) is False
     _, fails, _ = verify.run_suite("alpha_suite", [L])
     assert fails == 1
-
-    valid = verify.primes_bruteforce
 
     def swapped(M, *args, **kwargs):
         S = valid(M, *args, **kwargs)
         return S._replace(points=S.points[:-1] + (S.points[-1] | {0},))
 
-    monkeypatch.setattr(topology, "primes_bruteforce", swapped)
+    monkeypatch.setattr(verify, "primes_bruteforce", swapped)
     M = L.monoid
-    assert len(topology.primes_bruteforce(M).points) == len(valid(M).points)
-    assert topology.theta_homeo_check(M) is False
+    assert len(verify.primes_bruteforce(M).points) == len(valid(M).points)
+    assert verify.theta_holds(M) is False
     _, fails, _ = verify.run_suite("theta", [M])
     assert fails == 1
 
@@ -222,8 +223,8 @@ def test_alpha_fault_fails_alpha_suite(monkeypatch):
 def test_brute_fault_fails_duals_checks(monkeypatch):
     """A missing prime makes the double-spectrum check fail, not raise."""
     L = free_semilattice(2)
-    _drop_last_point(monkeypatch, spectrum)
-    assert spectrum.spec_spec_check(L) is False
+    _drop_last_point(monkeypatch, verify)
+    assert verify.spec_spec_check(L) is False
     _, fails, _ = verify.run_suite("duals", [L])
     assert fails == 1
 
@@ -376,15 +377,15 @@ def test_ev_and_double_spectrum():
 
 def test_power_submonoid_check():
     A = cyclic_monoid(2, 2)
-    assert power_submonoid_check(A, frozenset(A.elements()))
+    assert power_submonoid_check((A, frozenset(A.elements())))
     B = frozenset({0, 2, 3})  # generated by t2; t's square lands in it
-    assert power_submonoid_check(A, B)
-    assert power_submonoid_check(z2(), {0})
+    assert power_submonoid_check((A, B))
+    assert power_submonoid_check((z2(), {0}))
     with pytest.raises(HypothesisError, match="not a submonoid"):
-        power_submonoid_check(A, {0, 1})
+        power_submonoid_check((A, {0, 1}))
     # {1} inside the free semilattice: no power of a generator ever returns
     with pytest.raises(HypothesisError, match="no power"):
-        power_submonoid_check(free_semilattice(1).monoid, {0})
+        power_submonoid_check((free_semilattice(1).monoid, {0}))
 
 
 def test_theta_is_monoid_iso_pointwise():

@@ -8,7 +8,6 @@ from monospec.errors import CapExceeded, ValidationError
 from monospec.presentation import free_semilattice
 from monospec.spectrum import canonical_key, primes_bruteforce
 from monospec.topology import (
-    alpha_opens_check,
     basis_D,
     format_opens,
     ideal_opens,
@@ -16,10 +15,10 @@ from monospec.topology import (
     min_neighborhood,
     product_topology_on_homs,
     spec_topology,
-    theta_homeo_check,
     topology,
     union_continuous,
 )
+from monospec.verify import alpha_holds, theta_holds
 
 
 def test_basis_D_sierpinski():
@@ -115,7 +114,7 @@ def test_min_neighborhood():
 
 def test_theta_homeo_and_basis_identity_on_corpus():
     for M in corpus_monoids(13, count=25, max_size=8):
-        assert theta_homeo_check(M)
+        assert theta_holds(M)
         S = primes_bruteforce(M)
         D = {a: frozenset(i for i, p in enumerate(S.points) if a not in p)
              for a in M.elements()}
@@ -127,7 +126,7 @@ def test_theta_homeo_and_basis_identity_on_corpus():
 
 def test_alpha_transports_ideal_opens():
     for L in (chain_semilattice(1), chain_semilattice(4), free_semilattice(2)):
-        assert alpha_opens_check(L)
+        assert alpha_holds(L)
 
 
 def test_format_opens():

@@ -7,14 +7,15 @@ names, which is what makes keying them by table sound.  One `run_all` shares
 a memo that it drops when it returns or raises, hands out values no caller
 can change, and never hides a patched route.  A verdict that raises an input
 or integrity error fails its item, so a fault that makes a checker raise
-still prints every suite line.
+still prints every suite line, and so does a reflection fault that the
+corpus meets while it is built.
 """
 
 import contextlib
 
 import pytest
 
-from monospec import core, limits, spectrum, topology, verify
+from monospec import congruence, core, limits, spectrum, topology, verify
 from monospec.cli import main
 from monospec.core import SUBSET_CAP, FiniteMonoid
 from monospec.corpus import corpus_monoids, corpus_presentations
@@ -32,7 +33,7 @@ def size3_fault(monkeypatch):
         S = valid(M, *args, **kwargs)
         return S._replace(points=S.points[:-1]) if M.size == 3 else S
 
-    for module in (spectrum, verify, topology, limits):
+    for module in (spectrum, verify, limits):
         monkeypatch.setattr(module, "primes_bruteforce", faulty)
 
 
@@ -195,3 +196,24 @@ def test_hom_bit_flip_fails_suites_through_the_cli(monkeypatch, capsys):
     assert [line.split(" ", 1)[1].rsplit(" (", 1)[0] for line in lines] == [
         name for name, *_ in verify.SUITES.values()]
     assert any(line.startswith("FAIL ") for line in lines)
+
+
+def test_reflection_fault_fails_suites_through_the_cli(monkeypatch, capsys):
+    """A closure that drops the last pair (a, b) with a != b leaves reflections
+    that are not idempotent.  The semilattice corpus skips the tables whose
+    reflection raises, so every suite line is printed and the suites that
+    reflect a table fail."""
+    valid = congruence.congruence_closure
+
+    def missed(M, pairs):
+        pairs = list(pairs)
+        last = max((i for i, (a, b) in enumerate(pairs) if a != b), default=len(pairs))
+        return valid(M, pairs[:last] + pairs[last + 1:])
+
+    monkeypatch.setattr(congruence, "congruence_closure", missed)
+    assert main(["verify", "--quick", "--seed", "1"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 1)[1].rsplit(" (", 1)[0] for line in lines] == [
+        name for name, *_ in verify.SUITES.values()]
+    failing = {line.split(" ", 1)[1].rsplit(" (", 1)[0] for line in lines if line.startswith("FAIL ")}
+    assert {"three-route agreement", "core and reflection invariants"} <= failing
