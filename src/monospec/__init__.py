@@ -17,7 +17,6 @@ from .core import (
 )
 from .errors import (
     CapExceeded,
-    HypothesisError,
     InputError,
     IntegrityError,
     ParseError,

@@ -2,9 +2,10 @@
 
 Elements are integer indices into the table; the identity is always index 0
 (`validate_monoid` relabels on construction when necessary).  Element sets are
-plain frozensets of indices with a canonical sorted rendering.  `memoized`
-functions share their results inside one `memo_scope` (a `verify` run) and
-compute afresh everywhere else.
+plain frozensets of indices with a canonical sorted rendering.  The subset
+scans build their bit-sliced layout with `lanes` and read it with `members`.
+`memoized` functions share their results inside one `memo_scope` (a `verify`
+run) and compute afresh everywhere else.
 """
 
 from __future__ import annotations
@@ -24,6 +25,35 @@ def enforce_cap(what: str, n: int, cap: int = SUBSET_CAP) -> None:
     """Raise CapExceeded, whose docstring gives the rule, when n exceeds cap."""
     if n > cap:
         raise CapExceeded(f"{what} {n} exceeds the cap of {cap}")
+
+
+def lanes(k: int) -> list[int]:
+    """The lanes of a bit-sliced scan over the 2^k subsets of range(k).
+
+    Subset m is bit m of each 2^k-bit lane, and lane x has bit m set exactly
+    when m holds x: runs of 2^x zeros, then as many ones, built by doubling.
+    An instance of a law is then one bitwise expression over the lanes of its
+    elements, which tests every subset at once; `members` reads off the
+    subsets that survive.
+    """
+    width = 1 << k
+    out = []
+    for x in range(k):
+        run = 1 << x
+        lane, span = ((1 << run) - 1) << run, 2 * run
+        while span < width:
+            lane |= lane << span
+            span *= 2
+        out.append(lane)
+    return out
+
+
+def members(mask: int):
+    """The positions of the set bits of mask, highest first."""
+    while mask:
+        h = mask.bit_length() - 1
+        mask ^= 1 << h
+        yield h
 
 
 class _Memo(threading.local):

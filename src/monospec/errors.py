@@ -30,9 +30,5 @@ class CapExceeded(InputError):
     size before it is tabulated."""
 
 
-class HypothesisError(InputError):
-    """A checker's hypothesis fails; the check does not apply, nothing is refuted."""
-
-
 class IntegrityError(Exception):
     """A cross-check that must hold by theorem failed: a bug, never bad input."""

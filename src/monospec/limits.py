@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import FiniteMonoid, enforce_cap, is_submonoid, submonoid_as_monoid
-from .errors import ValidationError
+from .core import FiniteMonoid, enforce_cap, is_submonoid, lanes, members, submonoid_as_monoid
+from .errors import IntegrityError, ValidationError
 from .semilattice import JoinSemilattice
 from .spectrum import alpha, canonical_key, primes_bruteforce, route_primes
 
@@ -134,37 +134,24 @@ def subsemilattices(L: JoinSemilattice) -> list[tuple[int, ...]]:
     subsemilattice generated by S has at most 2^|S| elements, so this is the
     full system of finitely generated subsemilattices.
 
-    The scan is bit-sliced like `primes_bruteforce`: the mask 2h + 1 (the
-    least element 0 always in) is bit h of a 2^(n-1)-bit lane, and lane P[x]
-    has bit h set when that mask contains x.  A mask that holds a and b but
-    not a v b is not join-closed, so `P[a] & P[b] & ~P[a v b]` over every
-    pair whose join is neither of them marks all of them at once; the
-    unmarked masks are the subsemilattices, read off the top bit down.
+    The scan runs over the subsets that hold the least element 0, element x
+    on lane x - 1 of `lanes`.  A subset that holds a and b but not a v b is
+    not join-closed, so `P[a] & P[b] & ~P[a v b]` over every pair whose join
+    is neither of them marks all of them at once, and the unmarked subsets
+    are the subsemilattices.
     """
     n = L.size
     # n - 1 lanes of 2^(n-1) bits take about n * 2^(n-4) bytes: 64 KB at 16
     enforce_cap("size", n)
-    width = 1 << (n - 1)
-    P = [0] * n
-    for x in range(1, n):
-        run = 1 << (x - 1)  # runs of 2^(x-1) zeros, then as many ones
-        lane, span = ((1 << run) - 1) << run, 2 * run
-        while span < width:
-            lane |= lane << span
-            span *= 2
-        P[x] = lane
+    P = [0] + lanes(n - 1)
     bad = 0
     for a in range(1, n):
         for b in range(a + 1, n):
             j = L.join(a, b)
             if j != a and j != b:
                 bad |= P[a] & P[b] & ~P[j]
-    survivors = ((1 << width) - 1) ^ bad
-    out = []
-    while survivors:
-        h = survivors.bit_length() - 1
-        survivors ^= 1 << h
-        out.append((0,) + tuple(x for x in range(1, n) if (h >> (x - 1)) & 1))
+    survivors = ((1 << (1 << (n - 1))) - 1) ^ bad
+    out = [(0,) + tuple(sorted(x + 1 for x in members(h))) for h in members(survivors)]
     return sorted(out, key=lambda s: (len(s), s))
 
 
@@ -179,6 +166,7 @@ def profinite_system(L: JoinSemilattice) -> tuple[list[tuple[int, ...]], Inverse
     right adjoint of the inclusion: y goes to the greatest element of S below
     y, so it fixes S and sends x to the join of S below x.  Right adjoints
     compose, so the covers determine the transition between any two stages.
+    A stage that is not join-closed raises IntegrityError.
     """
     stages = subsemilattices(L)
     index = {sum(1 << x for x in s): k for k, s in enumerate(stages)}
@@ -195,17 +183,24 @@ def profinite_system(L: JoinSemilattice) -> tuple[list[tuple[int, ...]], Inverse
                 for s in low:
                     if leq[s][x]:
                         below = table[below][s]
-                t[high.index(x)] = low.index(below)
+                try:
+                    t[high.index(x)] = low.index(below)
+                except ValueError:  # a subsemilattice holds its joins
+                    raise IntegrityError(f"stage {low} is not join-closed") from None
                 maps[(i, j)] = tuple(t)
     return stages, InverseSystem([len(s) for s in stages], maps)
 
 
 def profinite_spec(L: JoinSemilattice):
     """Coherent families of the dualized subsemilattice system, with the
-    element of L each family evaluates to at the full stage."""
+    element of L each family evaluates to at the full stage; raises
+    IntegrityError when L itself is not a stage."""
     stages, system = profinite_system(L)
     families = inverse_limit(system)
-    full = stages.index(tuple(range(L.size)))
+    whole = tuple(range(L.size))
+    if whole not in stages:
+        raise IntegrityError("the full stage is missing")
+    full = stages.index(whole)
     return stages, families, [fam[full] for fam in families]
 
 

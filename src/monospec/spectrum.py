@@ -19,6 +19,8 @@ from .core import (
     MonoidMap,
     enforce_cap,
     is_hom,
+    lanes,
+    members,
     memoized,
     monoid_homs,
     render_set,
@@ -75,27 +77,16 @@ def build_spectrum(M: FiniteMonoid, points) -> Spectrum:
 def primes_bruteforce(M: FiniteMonoid, cap: int = SUBSET_CAP) -> Spectrum:
     """Scan all subsets (identity excluded up front) for the prime laws.
 
-    The scan is bit-sliced: the identity-free mask 2h is bit h of a
-    2^(n-1)-bit lane, and lane P[x] has bit h set when mask 2h contains x.
-    Each instance of a prime law is one bitwise expression over whole lanes,
-    so every mask is tested at once: the masks that break the ideal law
-    (a in the mask, a*x not) or the submonoid law on the complement (a and
-    b outside, a*b inside) are ORed into `bad`, and the rest are the primes,
-    read off the top bit down.
+    The scan runs over the subsets of the non-identity elements, element x on
+    lane x - 1 of `lanes`.  The subsets that break the ideal law (a in, a*x
+    out) or the submonoid law on the complement (a and b out, a*b in) are
+    ORed into `bad`, and the rest are the primes.
     """
     n = M.size
     # 2n lanes of 2^(n-1) bits take n * 2^(n-3) bytes: 16 GB at 32 elements
     enforce_cap("size", n, min(cap, 32))
-    width = 1 << (n - 1)
-    full = (1 << width) - 1
-    P = [0] * n  # P[0] stays 0: no mask holds the identity
-    for x in range(1, n):
-        run = 1 << (x - 1)  # runs of 2^(x-1) zeros, then as many ones
-        lane, span = ((1 << run) - 1) << run, 2 * run
-        while span < width:
-            lane |= lane << span
-            span *= 2
-        P[x] = lane
+    full = (1 << (1 << (n - 1))) - 1
+    P = [0] + lanes(n - 1)  # no subset holds the identity
     NP = [full ^ lane for lane in P]
     table = M.table
     bad = 0
@@ -103,12 +94,8 @@ def primes_bruteforce(M: FiniteMonoid, cap: int = SUBSET_CAP) -> Spectrum:
         bad |= P[a] & NP[v]
     for a, b, p in {(a, b, table[a][b]) for a in range(1, n) for b in range(a, n) if table[a][b]}:
         bad |= NP[a] & NP[b] & P[p]
-    survivors = full ^ bad
-    points = []
-    while survivors:  # one prime per element of the reflection, so at most n
-        h = survivors.bit_length() - 1
-        survivors ^= 1 << h
-        points.append(frozenset(x for x in range(1, n) if (h >> (x - 1)) & 1))
+    # one prime per element of the reflection, so at most n
+    points = [frozenset(x + 1 for x in members(h)) for h in members(full ^ bad)]
     return build_spectrum(M, points)
 
 

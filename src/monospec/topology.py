@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import SUBSET_CAP, FiniteMonoid, enforce_cap, monoid_homs, sierpinski
+from .core import SUBSET_CAP, FiniteMonoid, enforce_cap, lanes, members, monoid_homs, sierpinski
 from .errors import ValidationError
 from .semilattice import JoinSemilattice
 from .spectrum import Spectrum, canonical_key
@@ -64,37 +64,22 @@ def spec_topology(M: FiniteMonoid, S: Spectrum) -> FiniteTopology:
 def ideal_opens(L: JoinSemilattice, cap: int = SUBSET_CAP) -> FiniteTopology:
     """Opens are the monoid ideals of L, i.e. the upward-closed subsets.
 
-    The scan is bit-sliced: mask m is bit m of a 2^n-bit lane, and lane
-    P[x] has bit m set when m contains x.  A mask that holds x but not some
-    y >= x is not upward closed, so `P[x] & ~P[y]` over every such pair
-    marks all of them at once; the unmarked masks are the opens, read off
-    the top bit down.
+    The scan runs over all subsets of L on the lanes of `lanes`: a subset
+    that holds x but not some y >= x is not upward closed, so
+    `P[x] & ~P[y]` over every such pair marks all of them at once, and the
+    unmarked subsets are the opens.
     """
     n = L.size
     # n lanes of 2^n bits take n * 2^(n-3) bytes: 16 GB at 32 elements
     enforce_cap("size", n, min(cap, 32))
-    width = 1 << n
-    full = (1 << width) - 1
-    P = []
-    for x in range(n):
-        run = 1 << x  # runs of 2^x zeros, then as many ones
-        lane, span = ((1 << run) - 1) << run, 2 * run
-        while span < width:
-            lane |= lane << span
-            span *= 2
-        P.append(lane)
+    P = lanes(n)
     bad = 0
     for x in range(n):
         for y in range(n):
             if x != y and L.leq[x][y]:
                 bad |= P[x] & ~P[y]
-    survivors = full ^ bad
-    opens = []
-    while survivors:
-        m = survivors.bit_length() - 1
-        survivors ^= 1 << m
-        opens.append(frozenset(x for x in range(n) if (m >> x) & 1))
-    return FiniteTopology(n, _canonical(opens))
+    survivors = ((1 << (1 << n)) - 1) ^ bad
+    return FiniteTopology(n, _canonical(frozenset(members(m)) for m in members(survivors)))
 
 
 def product_topology_on_homs(M: FiniteMonoid) -> FiniteTopology:

@@ -47,7 +47,7 @@ from .corpus import (
     corpus_semilattices,
     corpus_submonoid_chains,
 )
-from .errors import HypothesisError, InputError, IntegrityError
+from .errors import InputError, IntegrityError, ValidationError
 from .limits import profinite_check, zg_check
 from .presentation import (
     Presentation,
@@ -247,12 +247,12 @@ def power_submonoid_check(pair) -> bool:
     """(A, B): restriction of primes is a bijection Spec(A) -> Spec(B).
 
     Requires B to be a submonoid with some power of every element of A inside
-    it; a failing hypothesis raises HypothesisError and refutes nothing.
+    it; a failing hypothesis raises ValidationError.
     """
     A, B = pair
     B = frozenset(B)
     if not is_submonoid(A, B):
-        raise HypothesisError("B is not a submonoid of A")
+        raise ValidationError("B is not a submonoid of A")
     for a in A.elements():
         acc = a
         for _ in range(A.size):
@@ -260,7 +260,7 @@ def power_submonoid_check(pair) -> bool:
                 break
             acc = A.table[acc][a]
         else:
-            raise HypothesisError(f"no power of element {a} lies in B")
+            raise ValidationError(f"no power of element {a} lies in B")
     Bmon, local = submonoid_as_monoid(A, B)
     spec_a = primes_bruteforce(A)
     spec_b = primes_bruteforce(Bmon)

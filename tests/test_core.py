@@ -196,6 +196,20 @@ def test_fuzz_associativity_matches_law_oracle(args):
         assert laws_hold(t, 0)
 
 
+def test_lanes_and_members_match_their_definitions():
+    for k in range(7):
+        P = core.lanes(k)
+        assert len(P) == k
+        for x, lane in enumerate(P):
+            assert lane >> (1 << k) == 0  # 2^k bits wide
+            for m in range(1 << k):
+                assert (lane >> m) & 1 == (m >> x) & 1
+            # members reads a lane back as the subsets that hold x, highest first
+            assert list(core.members(lane)) == [m for m in reversed(range(1 << k)) if (m >> x) & 1]
+        for m in range(1 << k):
+            assert list(core.members(m)) == [h for h in reversed(range(k)) if (m >> h) & 1]
+
+
 def test_render_set():
     M = z2()
     assert render_set(M, set()) == "{}"

@@ -19,7 +19,7 @@ from monospec import congruence, core, limits, spectrum, topology, verify
 from monospec.cli import main
 from monospec.core import SUBSET_CAP, FiniteMonoid
 from monospec.corpus import corpus_monoids, corpus_presentations
-from monospec.errors import HypothesisError, IntegrityError, ValidationError
+from monospec.errors import IntegrityError, ValidationError
 from monospec.presentation import Presentation
 from monospec.semilattice import JoinSemilattice, MonotoneMap
 
@@ -52,7 +52,7 @@ def test_counts_match_a_per_item_loop(size3_fault):
     assert 0 < len(set(failing)) < len(failing) < len(monoids)
 
 
-@pytest.mark.parametrize("error", [HypothesisError, ValidationError, IntegrityError])
+@pytest.mark.parametrize("error", [ValidationError, IntegrityError])
 def test_a_raising_verdict_fails_each_occurrence(error):
     judged = []
 
@@ -217,3 +217,59 @@ def test_reflection_fault_fails_suites_through_the_cli(monkeypatch, capsys):
         name for name, *_ in verify.SUITES.values()]
     failing = {line.split(" ", 1)[1].rsplit(" (", 1)[0] for line in lines if line.startswith("FAIL ")}
     assert {"three-route agreement", "core and reflection invariants"} <= failing
+
+
+def _suite_lines(out):
+    """(status, suite name) of each line `verify` printed."""
+    return [tuple(line.rsplit(" (", 1)[0].split(" ", 1)) for line in out.splitlines()]
+
+
+def _stages_fault(monkeypatch, broken):
+    """`limits.subsemilattices` returns broken(L, its valid stages)."""
+    valid = limits.subsemilattices
+    monkeypatch.setattr(limits, "subsemilattices", lambda L: broken(L, valid(L)))
+
+
+def _full_stage_dropped(L, stages):
+    return [s for s in stages if len(s) < L.size]
+
+
+def _unclosed_stage_added(L, stages):
+    """range(n - 1) holds 0, so it is a stage exactly when it is join-closed."""
+    extra = tuple(range(L.size - 1))
+    return stages if extra in stages else stages + [extra]
+
+
+@pytest.mark.parametrize("broken", [_full_stage_dropped, _unclosed_stage_added])
+def test_subsemilattice_fault_fails_the_limits_suite(monkeypatch, capsys, broken):
+    """A stage list that breaks a theorem is an integrity failure of the
+    limits suite, not a crash: every suite line is printed."""
+    _stages_fault(monkeypatch, broken)
+    assert main(["verify", "--quick", "--seed", "1"]) == 2
+    lines = _suite_lines(capsys.readouterr().out)
+    assert [name for _, name in lines] == [name for name, *_ in verify.SUITES.values()]
+    assert ("FAIL", "colimit and profinite limits") in lines
+
+
+@pytest.fixture
+def lane_fault(monkeypatch):
+    """Every binding of `lanes` copies its next-to-last lane into the last one from k = 3."""
+    valid = core.lanes
+
+    def faulty(k):
+        P = valid(k)
+        return P[:-1] + P[-2:-1] if k >= 3 else P
+
+    for module in (core, spectrum, topology, limits):
+        monkeypatch.setattr(module, "lanes", faulty)
+
+
+def test_lane_fault_breaks_route_agreement(lane_fault):
+    assert not all(map(verify.routes_agree, corpus_monoids(0, 150, 10)))
+
+
+def test_lane_fault_fails_verify_through_the_cli(lane_fault, capsys):
+    assert main(["verify", "--quick", "--seed", "1"]) == 2
+    lines = _suite_lines(capsys.readouterr().out)
+    assert [name for _, name in lines] == [name for name, *_ in verify.SUITES.values()]
+    assert ("FAIL", "three-route agreement") in lines
