@@ -73,7 +73,7 @@ def build_spectrum(M: FiniteMonoid, points) -> Spectrum:
     return Spectrum(M, tuple(pts), tuple(table))
 
 
-@memoized
+@memoized(tables=1, reown=lambda S, M, cap: S._replace(owner=M))
 def primes_bruteforce(M: FiniteMonoid, cap: int = SUBSET_CAP) -> Spectrum:
     """Scan all subsets (identity excluded up front) for the prime laws.
 

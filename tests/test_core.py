@@ -28,7 +28,7 @@ from monospec.corpus import chain_semilattice, corpus_monoids, cyclic_monoid
 from monospec.errors import ParseError, ValidationError
 from monospec.limits import profinite_system
 from monospec.presentation import free_semilattice, parse_presentation
-from monospec.semilattice import monotone_map
+from monospec.semilattice import from_monoid, meet_table, monotone_map
 from monospec.spectrum import primes_bruteforce
 from monospec.topology import ideal_opens
 
@@ -289,7 +289,7 @@ def test_memo_keys_fill_in_defaults():
         S = primes_bruteforce(M)
         assert primes_bruteforce(M, 16) is S and primes_bruteforce(M, cap=16) is S
         assert [args for fn, args in core._memo.table
-                if fn is primes_bruteforce.__wrapped__] == [(M, 16)]
+                if fn is primes_bruteforce.__wrapped__] == [(M.table, 16)]
         assert primes_bruteforce(M, 17) is not S
     with memo_scope():
         with pytest.raises(TypeError):
@@ -302,14 +302,34 @@ def test_memo_keys_fill_in_defaults():
 
 
 def test_memo_keys_compare_names():
-    M = cyclic_monoid(1, 2)
+    """The four table kernels key a monoid or semilattice by its table: a
+    renamed copy shares the entry and gets back what it computes outside a
+    scope, under its own names; a call under the stored names gets the stored
+    object."""
+    M = cyclic_monoid(1, 2)  # t ~ t2 in the reflection, so it renames classes
     N = validate_monoid(M.table, names=["u", "v", "w"])
+    L = sl_reflection(M)[0]
+    K = from_monoid(validate_monoid(L.monoid.table, names=["a", "b"]))
+    calls = {monoid_homs: ((M, M), (N, N)), primes_bruteforce: ((M,), (N,)),
+             sl_reflection: ((M,), (N,)), meet_table: ((L,), (K,))}
     with memo_scope():
-        assert primes_bruteforce(M).owner.names == M.names
-        assert primes_bruteforce(N).owner.names == ("u", "v", "w")
-        assert sl_reflection(N)[1].source.names == ("u", "v", "w")
+        first = {fn: fn(*args) for fn, (args, _) in calls.items()}
+        renamed = {fn: fn(*args) for fn, (_, args) in calls.items()}
+        assert all(fn(*args) is first[fn] for fn, (args, _) in calls.items())
+        assert sorted(fn.__name__ for fn, _ in core._memo.table) == sorted(
+            fn.__name__ for fn in calls)
+        # an idempotent table is its own reflection, under either names
+        sl_reflection(K.monoid)
+        R, q = sl_reflection(L.monoid)
+        assert R.monoid is L.monoid and q.target is L.monoid
         # an unhashable argument has no key and is computed each time
         assert free_semilattice(1, names=["x"]).names == ("{}", "{x}")
+    for fn, (_, args) in calls.items():
+        assert renamed[fn] == fn(*args), fn.__name__
+    assert {(h.source.names, h.target.names) for h in renamed[monoid_homs]} == {(N.names, N.names)}
+    assert renamed[primes_bruteforce].owner.names == ("u", "v", "w")
+    R, q = renamed[sl_reflection]
+    assert R.names == ("[u]", "[v]") and q.source.names == ("u", "v", "w") and q.target is R.monoid
 
 
 def _records():

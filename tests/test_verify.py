@@ -176,6 +176,18 @@ def test_brute_fault_fails_verify_through_the_cli(monkeypatch, capsys):
     assert "FAIL three-route agreement" in out.splitlines()[0]
 
 
+def test_memo_that_confuses_tables_fails_verify(monkeypatch, capsys):
+    """A memo that keys a table by its size alone hands one table's spectra,
+    reflections and homs to every table of that size: the routes then agree
+    on wrong answers where one memo answers them all, and the suites must
+    still fail."""
+    monkeypatch.setattr(core, "table_key", lambda value: value.size)
+    assert main(["verify", "--quick", "--seed", "1"]) == 2
+    lines = _suite_lines(capsys.readouterr().out)
+    assert [name for _, name in lines] == [name for name, *_ in verify.SUITES.values()]
+    assert ("FAIL", "three-route agreement") in lines
+
+
 def test_hom_bit_flip_fails_suites_through_the_cli(monkeypatch, capsys):
     """A hom search that flips the last image of its last hom into {1, 0}
     makes some checkers raise (a kernel that is not a prime ideal); each
