@@ -167,15 +167,28 @@ def profinite_system(L: JoinSemilattice) -> tuple[list[tuple[int, ...]], Inverse
     y, so it fixes S and sends x to the join of S below x.  Right adjoints
     compose, so the covers determine the transition between any two stages.
     A stage that is not join-closed raises IntegrityError.
+
+    Conversely T - {x} is a subsemilattice whenever no two other elements of
+    T join to x, so such a T - {x} missing from the stages raises
+    IntegrityError too.  With the full stage listed, induction down the
+    covers then proves the list complete.  The pairs that join to each x
+    are bitmasks, found once.
     """
     stages = subsemilattices(L)
     index = {sum(1 << x for x in s): k for k, s in enumerate(stages)}
     table, leq = L.monoid.table, L.leq
+    joined = [[] for _ in L.elements()]  # x -> the pairs {a, b}, x not in it, with a v b = x
+    for a in L.elements():
+        for b in range(a + 1, L.size):
+            if table[a][b] not in (a, b):
+                joined[table[a][b]].append(1 << a | 1 << b)
     maps = {}
     for mask, j in index.items():
         high = stages[j]
         for x in high[1:]:
             i = index.get(mask ^ (1 << x))
+            if i is None and not any(pair & mask == pair for pair in joined[x]):
+                raise IntegrityError(f"stage {high} less {x} is missing")
             if i is not None:
                 low = stages[i]
                 t = [k - (y > x) for k, y in enumerate(high)]  # positions in high less x

@@ -1,15 +1,21 @@
 """Finite topologies on spectra, semilattices, and hom sets.
 
-Open families are stored in full (the spaces are tiny) and kept in the
-canonical order: by cardinality, then lexicographic membership.
+A finite space is fixed by each point's least open neighbourhood N(x), the
+intersection of the subbasic opens that hold x (Alexandrov, "Diskrete
+Räume", 1937): y lies in N(x) exactly when every open that holds x holds y.
+So a bijection is a homeomorphism exactly when it carries each N(x) onto
+N(image of x), and a map of two variables is continuous for the product
+topology exactly when it sends N(p) x N(q) into N of the image of (p, q).
+The checks hold each N(x) as one bitmask of points, never an open family.
+The `topology` command prints the ideal opens in full, kept in the canonical
+order: by cardinality, then lexicographic membership.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import SUBSET_CAP, FiniteMonoid, enforce_cap, lanes, members, monoid_homs, sierpinski
-from .errors import ValidationError
+from .core import SUBSET_CAP, FiniteMonoid, enforce_cap, lanes, members
 from .semilattice import JoinSemilattice
 from .spectrum import Spectrum, canonical_key
 
@@ -21,44 +27,43 @@ class FiniteTopology(NamedTuple):
     opens: tuple[frozenset[int], ...]
 
 
-def _canonical(opens) -> tuple[frozenset[int], ...]:
-    return tuple(sorted(set(opens), key=canonical_key))
+def least_opens(size: int, subbasis) -> list[int]:
+    """N(x) for each point x of the space on 0..size-1 that the subbasic
+    opens generate, each open and each N(x) a bitmask of points: the AND of
+    the subbasic opens that hold x, all points when none does."""
+    N = [(1 << size) - 1] * size
+    for o in subbasis:
+        for x in members(o):
+            N[x] &= o
+    return N
 
 
-def topology(size: int, opens) -> FiniteTopology:
-    """The topology a family of opens generates on points 0..size-1.
-
-    On a finite space every open is a union of finite intersections of the
-    family, so the family is closed under intersection once, with the full
-    set as the empty intersection, and then under union, with the empty set
-    as the empty union.
-    """
-    family = set(frozenset(o) for o in opens)
-    for o in family:
-        for x in o:
-            if not 0 <= x < size:
-                raise ValidationError(f"open set mentions point {x} outside 0..{size - 1}")
-    meets = {frozenset(range(size))}
-    for o in family:
-        meets |= {o & m for m in meets}
-    unions = {frozenset()}
-    for m in meets:
-        unions |= {m | u for u in unions}
-    return FiniteTopology(size, _canonical(unions))
+def basic_opens(M: FiniteMonoid, S: Spectrum) -> list[int]:
+    """D(a) = {p : a not in p} for each element a, a bitmask of S's points."""
+    return [sum(1 << i for i, p in enumerate(S.points) if a not in p) for a in M.elements()]
 
 
-def basis_D(M: FiniteMonoid, S: Spectrum) -> list[frozenset[int]]:
-    """The basic opens, one per element: the points avoiding that element."""
-    seen = []
-    for a in M.elements():
-        d = frozenset(i for i, p in enumerate(S.points) if a not in p)
-        if d not in seen:
-            seen.append(d)
-    return seen
+def hom_opens(M: FiniteMonoid, homs) -> list[int]:
+    """The subbasic opens of the product topology on homs M -> {1, 0}: for
+    each element m, the bitmask of the positions in `homs` of the h with
+    h(m) = 1, the unit."""
+    return [sum(1 << j for j, h in enumerate(homs) if h.images[m] == 0) for m in M.elements()]
 
 
-def spec_topology(M: FiniteMonoid, S: Spectrum) -> FiniteTopology:
-    return topology(len(S.points), basis_D(M, S))
+def carries(bijection, N1, N2) -> bool:
+    """The point bijection sends each least open N1[x] onto N2[bijection[x]]:
+    for a bijection, exactly a homeomorphism."""
+    return all(sum(1 << bijection[y] for y in members(n)) == N2[bijection[x]]
+               for x, n in enumerate(N1))
+
+
+def union_continuous(S: Spectrum, N) -> bool:
+    """The union map Spec x Spec -> Spec, read from S's union table, is
+    continuous for the product topology: it sends N[p] x N[q] into N[p u q]."""
+    u = S.union_table
+    return all(N[u[p][q]] >> u[a][b] & 1
+               for p in range(len(N)) for q in range(len(N))
+               for a in members(N[p]) for b in members(N[q]))
 
 
 def ideal_opens(L: JoinSemilattice, cap: int = SUBSET_CAP) -> FiniteTopology:
@@ -79,57 +84,8 @@ def ideal_opens(L: JoinSemilattice, cap: int = SUBSET_CAP) -> FiniteTopology:
             if x != y and L.leq[x][y]:
                 bad |= P[x] & ~P[y]
     survivors = ((1 << (1 << n)) - 1) ^ bad
-    return FiniteTopology(n, _canonical(frozenset(members(m)) for m in members(survivors)))
-
-
-def product_topology_on_homs(M: FiniteMonoid) -> FiniteTopology:
-    """Topology induced on Hom(M, 2) by the product of Sierpinski factors.
-
-    Its points are the homs in the order `monoid_homs(M, sierpinski())`
-    lists them.  Subbasic opens fix one source element to the unit value.
-    """
-    homs = monoid_homs(M, sierpinski())
-    subbasis = [
-        frozenset(j for j, h in enumerate(homs) if h.images[m] == 0) for m in M.elements()
-    ]
-    return topology(len(homs), subbasis)
-
-
-def is_homeomorphism(bijection, T1: FiniteTopology, T2: FiniteTopology) -> bool:
-    """Check a point bijection carries opens to opens both ways."""
-    bijection = list(bijection)
-    if T1.size != T2.size or sorted(bijection) != list(range(T1.size)):
-        raise ValidationError("not a bijection between the point sets")
-    opens2 = set(T2.opens)
-    images = set(frozenset(bijection[x] for x in o) for o in T1.opens)
-    return images == opens2
-
-
-def min_neighborhood(T: FiniteTopology, x: int) -> frozenset[int]:
-    """Smallest open containing x (exists in any finite space)."""
-    out = frozenset(range(T.size))
-    for o in T.opens:
-        if x in o and len(o) < len(out):
-            out = o
-    return out
-
-
-def union_continuous(S: Spectrum, T: FiniteTopology) -> bool:
-    """Continuity of the union map Spec x Spec -> Spec for the product topology.
-
-    A subset of the product is open iff it contains the product of minimal
-    neighborhoods around each of its points.
-    """
-    k = len(S.points)
-    mins = [min_neighborhood(T, i) for i in range(k)]
-    for o in T.opens:
-        pre = {(i, j) for i in range(k) for j in range(k) if S.union_table[i][j] in o}
-        for i, j in pre:
-            for a in mins[i]:
-                for b in mins[j]:
-                    if (a, b) not in pre:
-                        return False
-    return True
+    opens = (frozenset(members(m)) for m in members(survivors))
+    return FiniteTopology(n, tuple(sorted(opens, key=canonical_key)))
 
 
 def format_opens(T: FiniteTopology, names) -> str:

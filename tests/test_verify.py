@@ -15,7 +15,8 @@ import contextlib
 
 import pytest
 
-from monospec import congruence, core, limits, spectrum, topology, verify
+from faults import patch_every_binding
+from monospec import congruence, core, limits, spectrum, verify
 from monospec.cli import main
 from monospec.core import SUBSET_CAP, FiniteMonoid
 from monospec.corpus import corpus_monoids, corpus_presentations
@@ -33,8 +34,7 @@ def size3_fault(monkeypatch):
         S = valid(M, *args, **kwargs)
         return S._replace(points=S.points[:-1]) if M.size == 3 else S
 
-    for module in (spectrum, verify, limits):
-        monkeypatch.setattr(module, "primes_bruteforce", faulty)
+    patch_every_binding(monkeypatch, "primes_bruteforce", faulty)
 
 
 def test_counts_match_a_per_item_loop(size3_fault):
@@ -201,8 +201,7 @@ def test_hom_bit_flip_fails_suites_through_the_cli(monkeypatch, capsys):
         last = homs[-1]
         return homs[:-1] + (last._replace(images=last.images[:-1] + (1 - last.images[-1],)),)
 
-    for module in (verify, spectrum, topology):
-        monkeypatch.setattr(module, "monoid_homs", flipped)
+    patch_every_binding(monkeypatch, "monoid_homs", flipped)
     assert main(["verify", "--quick", "--seed", "1"]) == 2
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" ", 1)[1].rsplit(" (", 1)[0] for line in lines] == [
@@ -252,10 +251,36 @@ def _unclosed_stage_added(L, stages):
     return stages if extra in stages else stages + [extra]
 
 
-@pytest.mark.parametrize("broken", [_full_stage_dropped, _unclosed_stage_added])
+def _drop_stage(L, stages, k):
+    """The stages less stages[k], when it exists and is not the full stage."""
+    if 0 <= k < len(stages) and len(stages[k]) < L.size:
+        return stages[:k] + stages[k + 1:]
+    return stages
+
+
+def _bottom_stage_dropped(L, stages):
+    return _drop_stage(L, stages, 0)
+
+
+def _second_stage_dropped(L, stages):
+    return _drop_stage(L, stages, 1)
+
+
+def _middle_stage_dropped(L, stages):
+    return _drop_stage(L, stages, len(stages) // 2)
+
+
+def _stage_below_full_dropped(L, stages):
+    return _drop_stage(L, stages, len(stages) - 2)
+
+
+@pytest.mark.parametrize("broken", [_full_stage_dropped, _unclosed_stage_added,
+                                    _bottom_stage_dropped, _second_stage_dropped,
+                                    _middle_stage_dropped, _stage_below_full_dropped])
 def test_subsemilattice_fault_fails_the_limits_suite(monkeypatch, capsys, broken):
     """A stage list that breaks a theorem is an integrity failure of the
-    limits suite, not a crash: every suite line is printed."""
+    limits suite, not a crash: every suite line is printed.  A dropped stage
+    T - {x} is one, since no two other elements of T join to x."""
     _stages_fault(monkeypatch, broken)
     assert main(["verify", "--quick", "--seed", "1"]) == 2
     lines = _suite_lines(capsys.readouterr().out)
@@ -272,8 +297,7 @@ def lane_fault(monkeypatch):
         P = valid(k)
         return P[:-1] + P[-2:-1] if k >= 3 else P
 
-    for module in (core, spectrum, topology, limits):
-        monkeypatch.setattr(module, "lanes", faulty)
+    patch_every_binding(monkeypatch, "lanes", faulty)
 
 
 def test_lane_fault_breaks_route_agreement(lane_fault):
