@@ -22,7 +22,6 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .presentation import Presentation, free_semilattice, parse_presentation, sl_of_presentation
 from .semilattice import (
     JoinSemilattice,
     MonotoneMap,
@@ -44,4 +43,18 @@ from .spectrum import (
     theta_inverse,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: Names re-exported from `presentation`, which loads on the first read of one
+#: (PEP 562): `import monospec.cli` and `import monospec.limits` never compile it.
+_PRESENTATION = ("Presentation", "free_semilattice", "parse_presentation", "sl_of_presentation")
+
+
+def __getattr__(name):
+    if name in _PRESENTATION:
+        from . import presentation
+
+        return getattr(presentation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# the names bound above, the submodules among them, and the lazy module with its names
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + ["presentation", *_PRESENTATION])

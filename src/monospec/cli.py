@@ -15,7 +15,6 @@ from pathlib import Path
 from .congruence import sl_reflection
 from .core import SUBSET_CAP, format_monoid_table, parse_monoid_table, render_set
 from .errors import InputError, IntegrityError
-from .presentation import parse_presentation, sl_of_presentation
 from .semilattice import from_monoid, monotone_map, left_adjoint, right_adjoint
 from .spectrum import (
     ROUTES,
@@ -47,6 +46,9 @@ def _load(path: str, kind: str | None, cap: int = SUBSET_CAP):
         raise InputError(f"{path}: not UTF-8 text ({e.reason})")
     if kind == "mon":
         return parse_monoid_table(text), None
+    # loaded with the first presentation, so table inputs never compile it
+    from .presentation import parse_presentation, sl_of_presentation
+
     P = parse_presentation(text)
     L, gen_images = sl_of_presentation(P, cap)
     return L.monoid, (P, gen_images)

@@ -10,7 +10,7 @@ downset-complement bijection on the idempotent reflection.
 from __future__ import annotations
 
 from functools import reduce
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .congruence import sl_reflection
 from .core import (
@@ -28,8 +28,10 @@ from .core import (
     units,
 )
 from .errors import IntegrityError, ValidationError
-from .presentation import Presentation
 from .semilattice import JoinSemilattice
+
+if TYPE_CHECKING:  # a `.pres` input loads it, not this module
+    from .presentation import Presentation
 
 
 #: The spectrum routes `spec --via` accepts, in output order.

@@ -208,7 +208,6 @@ def alpha_holds(L: JoinSemilattice) -> bool:
         upsets = [sum(1 << b for b in L.elements() if L.leq[a][b]) for a in L.elements()]
         ok = carries([index[p] for p in points], upsets,
                      least_opens(L.size, basic_opens(L.monoid, spec)))
-    everything = frozenset(L.elements())
     meets = meet_table(L)
     for a in L.elements():
         if beta(L, points[a]) != a:
@@ -216,8 +215,8 @@ def alpha_holds(L: JoinSemilattice) -> bool:
         for b in L.elements():
             if points[meets[a][b]] != points[a] | points[b]:
                 ok = False
-            down_sub = everything - points[a] <= everything - points[b]
-            if L.leq[a][b] != down_sub or L.leq[a][b] != (points[a] >= points[b]):
+            # a <= b exactly when the downset of a lies in that of b: alpha(a) >= alpha(b)
+            if L.leq[a][b] != (points[a] >= points[b]):
                 ok = False
     return ok
 
@@ -229,7 +228,8 @@ def naturality_square(f: MonotoneMap) -> bool:
     L, Lp = f.source, f.target
     for y in Lp.elements():
         lhs = alpha(L, g.images[y])
-        rhs = frozenset(x for x in L.elements() if f.images[x] in alpha(Lp, y))
+        prime = alpha(Lp, y)
+        rhs = frozenset(x for x in L.elements() if f.images[x] in prime)
         if lhs != rhs:
             return False
     return True

@@ -6,8 +6,11 @@ from time import perf_counter
 
 import pytest
 
+from faults import patch_every_binding
+import monospec
 from monospec.cli import main
 from monospec.core import format_monoid_table
+from monospec.errors import IntegrityError
 from monospec.presentation import free_semilattice
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -252,8 +255,8 @@ def test_golden_output(name, command, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.{command}.out").read_text()
 
 
-def _newly_loaded(argv=None) -> set[str]:
-    """The modules that `import monospec.cli`, then `cli.main(argv)` unless
+def _newly_loaded(argv=None, statement="import monospec.cli") -> set[str]:
+    """The modules that `statement`, then `monospec.cli.main(argv)` unless
     argv is None, newly load in a fresh interpreter; the call must exit 0.
 
     Only the modules these statements add count, so a module that the
@@ -262,7 +265,7 @@ def _newly_loaded(argv=None) -> set[str]:
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     call = "0" if argv is None else f"monospec.cli.main({argv!r})"
-    code = ("import sys; before = set(sys.modules); import monospec.cli; "
+    code = (f"import sys; before = set(sys.modules); {statement}; "
             f"rc = {call}; "
             "print(*sorted(set(sys.modules) - before), file=sys.stderr); sys.exit(rc)")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -272,20 +275,48 @@ def _newly_loaded(argv=None) -> set[str]:
 
 def test_cli_import_leaves_the_suites_unloaded():
     """`import monospec.cli` newly loads no verify suite, corpus, topology,
-    DOT writer or dataclasses."""
+    DOT writer, presentation parser or dataclasses."""
     loaded = _newly_loaded()
     assert "monospec.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "monospec.verify", "monospec.corpus",
-                              "monospec.topology", "monospec.dot"})
+                              "monospec.topology", "monospec.dot", "monospec.presentation"})
 
 
 @pytest.mark.parametrize("argv, expected", [
     (["spec", "--via", "all", "free3.mon"], set()),
-    (["sl", "xy.pres"], set()),
+    (["sl", "xy.pres"], {"monospec.presentation"}),
     (["topology", "i.mon"], {"monospec.topology"}),
     (["dot", "free3.mon"], {"monospec.dot"}),
 ])
 def test_topology_and_dot_load_with_their_commands(argv, expected):
-    """`topology` and `dot` are loaded by their own commands only."""
+    """`topology` and `dot` are loaded by their own commands only, and
+    `presentation` by the first `.pres` input."""
     argv = [str(DATA / a) if a.endswith((".mon", ".pres")) else a for a in argv]
-    assert _newly_loaded(argv) & {"monospec.topology", "monospec.dot"} == expected
+    lazy = {"monospec.topology", "monospec.dot", "monospec.presentation"}
+    assert _newly_loaded(argv) & lazy == expected
+
+
+def test_limits_import_leaves_presentation_unloaded():
+    loaded = _newly_loaded(statement="import monospec.limits")
+    assert "monospec.limits" in loaded and "monospec.presentation" not in loaded
+
+
+def test_package_reexports_presentation_lazily():
+    """`import monospec` leaves `presentation` unloaded; reading one of its
+    names from the package loads it, and `__all__` lists them all."""
+    names = ("Presentation", "free_semilattice", "parse_presentation", "sl_of_presentation")
+    assert "monospec.presentation" not in _newly_loaded(statement="import monospec")
+    loaded = _newly_loaded(statement=f"from monospec import {', '.join(names)}")
+    assert "monospec.presentation" in loaded
+    assert set(names) <= set(monospec.__all__)
+
+
+def test_reflection_fault_reaches_the_cli_through_the_lazy_import(monkeypatch, capsys):
+    """`_load` reads `sl_of_presentation` from `presentation` when it runs, so
+    a patch of every binding reaches `.pres` inputs."""
+    def faulty(P, cap):
+        raise IntegrityError(f"faulty reflection of {len(P.generators)} generators")
+
+    patch_every_binding(monkeypatch, "sl_of_presentation", faulty)
+    assert main(["spec", "--via", "all", str(DATA / "xy.pres")]) == 2
+    assert "faulty reflection of 2 generators" in capsys.readouterr().err

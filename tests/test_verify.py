@@ -8,10 +8,13 @@ a memo that it drops when it returns or raises, hands out values no caller
 can change, and never hides a patched route.  A verdict that raises an input
 or integrity error fails its item, so a fault that makes a checker raise
 still prints every suite line, and so does a reflection fault that the
-corpus meets while it is built.
+corpus meets while it is built.  Each verdict branch that no other test
+drives to False has a named fault that takes it.
 """
 
 import contextlib
+import inspect
+import sys
 
 import pytest
 
@@ -309,3 +312,89 @@ def test_lane_fault_fails_verify_through_the_cli(lane_fault, capsys):
     lines = _suite_lines(capsys.readouterr().out)
     assert [name for _, name in lines] == [name for name, *_ in verify.SUITES.values()]
     assert ("FAIL", "three-route agreement") in lines
+
+
+def _branch_taken(verdict, test, item) -> bool:
+    """Whether verdict(item) runs the body of the verdict's `if <test>:`, the
+    statement that makes it False."""
+    lines, first = inspect.getsourcelines(verdict)
+    [at] = [first + i for i, line in enumerate(lines) if line.strip() == f"if {test}:"]
+    run = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not verdict.__code__:
+            return None
+        run.add(frame.f_lineno)
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        verdict(item)
+    finally:
+        sys.settrace(previous)
+    return at + 1 in run
+
+
+def _last_image_flipped(theta_inverse):
+    """θ⁻¹ whose indicator hom sends its last element to the other value."""
+    def faulty(M, members):
+        f = theta_inverse(M, members)
+        return f._replace(images=f.images[:-1] + (1 - f.images[-1],))
+    return faulty
+
+
+def _last_row_bottom(meet_table):
+    """Meets with the last element all read as the bottom, 0."""
+    def faulty(L):
+        meets = meet_table(L)
+        return meets[:-1] + (meets[0],)
+    return faulty
+
+
+def _bottom_and_last_swapped(alpha):
+    """α with the primes of the bottom and the last element exchanged."""
+    return lambda L, a: alpha(L, {0: L.size - 1, L.size - 1: 0}.get(a, a))
+
+
+def _second_read_as_bottom(alpha):
+    """α that gives element 1 the prime of element 0."""
+    return lambda L, a: alpha(L, 0 if a == 1 else a)
+
+
+def _last_image_shifted(right_adjoint):
+    """Right adjoint whose last image moves to the next element of its target."""
+    def faulty(f):
+        g = right_adjoint(f)
+        return g._replace(images=g.images[:-1] + ((g.images[-1] + 1) % g.target.size,))
+    return faulty
+
+
+def _size(item):
+    return item.source.size if isinstance(item, MonotoneMap) else item.size
+
+
+@pytest.mark.parametrize("name, fault, verdict, test, key", [
+    pytest.param("theta_inverse", _last_image_flipped, "theta_holds",
+                 "theta_inverse(M, pf) != f", "theta", id="theta-round-trip"),
+    pytest.param("meet_table", _last_row_bottom, "alpha_holds",
+                 "points[meets[a][b]] != points[a] | points[b]", "alpha_suite", id="alpha-meets"),
+    pytest.param("alpha", _bottom_and_last_swapped, "alpha_holds",
+                 "L.leq[a][b] != (points[a] >= points[b])", "alpha_suite", id="alpha-order"),
+    pytest.param("right_adjoint", _last_image_shifted, "naturality_square",
+                 "lhs != rhs", "naturality", id="naturality"),
+    pytest.param("alpha", _second_read_as_bottom, "spec_spec_check",
+                 "len(set(composite)) != len(SS.points)", "duals", id="double-alpha-size"),
+])
+def test_named_fault_takes_its_verdict_branch(monkeypatch, name, fault, verdict, test, key):
+    """A fault in verify's own binding of `name` runs the branch of `verdict`
+    that compares with `test`, on an item where the valid binding does not,
+    and fails the suite `key` at seed 1."""
+    verdict = getattr(verify, verdict)
+    corpora = verify.suite_corpora(1, quick=True)[key]
+    item = next(x for x in corpora[0] if _size(x) >= 3)
+    assert verdict(item) and not _branch_taken(verdict, test, item)
+    assert verify.run_suite(key, *corpora)[1] == 0
+    monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
+    assert _branch_taken(verdict, test, item)
+    assert verify.run_suite(key, *corpora)[1] > 0
