@@ -56,5 +56,15 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# the names bound above, the submodules among them, and the lazy module with its names
-__all__ = sorted([name for name in dir() if not name.startswith("_")] + ["presentation", *_PRESENTATION])
+# the API: the names imported above and the lazy ones, never a submodule
+__all__ = [
+    "CapExceeded", "Congruence", "FiniteMonoid", "InputError", "IntegrityError",
+    "JoinSemilattice", "MonoidMap", "MonotoneMap", "ParseError", "Presentation",
+    "Spectrum", "ValidationError", "alpha", "beta", "check_adjunction",
+    "congruence_closure", "direct_product", "free_semilattice", "from_monoid",
+    "generator_supports", "grillet_relation", "is_hom", "is_idempotent", "left_adjoint",
+    "monoid_homs", "monotone_map", "parse_monoid_table", "parse_presentation",
+    "primes_bruteforce", "quotient", "right_adjoint", "sierpinski",
+    "sl_of_presentation", "sl_reflection", "spec_monoid", "submonoid_closure", "theta",
+    "theta_inverse", "top", "trivial_monoid", "units", "validate_monoid",
+]

@@ -163,36 +163,36 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="monospec",
-                     description="Exact spectra of commutative monoids")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_input(p):
+    p.add_argument("input", help="input file (.mon table or .pres presentation)")
+    p.add_argument("--kind", choices=["mon", "pres"], help="override extension inference")
+    p.add_argument("--cap", type=int, default=SUBSET_CAP, help="size cap for enumerations")
 
-    def add_common(p):
-        p.add_argument("input", help="input file (.mon table or .pres presentation)")
-        p.add_argument("--kind", choices=["mon", "pres"], help="override extension inference")
-        p.add_argument("--cap", type=int, default=SUBSET_CAP, help="size cap for enumerations")
 
-    p = sub.add_parser("spec", help="compute the prime spectrum")
-    add_common(p)
+def _spec_arguments(p):
+    _add_input(p)
     p.add_argument("--via", default="alpha",
                    help="comma list of routes: brute, hom, alpha, all")
     p.set_defaults(func=cmd_spec)
 
-    p = sub.add_parser("sl", help="idempotent reflection as a table")
-    add_common(p)
+
+def _sl_arguments(p):
+    _add_input(p)
     p.set_defaults(func=cmd_sl)
 
-    p = sub.add_parser("dot", help="Hasse diagram as DOT")
-    add_common(p)
+
+def _dot_arguments(p):
+    _add_input(p)
     p.add_argument("--spec", action="store_true", help="diagram of the spectrum instead")
     p.set_defaults(func=cmd_dot)
 
-    p = sub.add_parser("topology", help="ideal opens of the reflection")
-    add_common(p)
+
+def _topology_arguments(p):
+    _add_input(p)
     p.set_defaults(func=cmd_topology)
 
-    p = sub.add_parser("adjoint", help="adjoint of a semilattice map")
+
+def _adjoint_arguments(p):
     p.add_argument("source", help=".mon file with an idempotent table")
     p.add_argument("target", help=".mon file with an idempotent table")
     p.add_argument("--images", nargs="+", required=True,
@@ -200,16 +200,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", action="store_true", help="left adjoint instead of right")
     p.set_defaults(func=cmd_adjoint)
 
-    p = sub.add_parser("verify", help="run the property suites over a seeded corpus")
+
+def _verify_arguments(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quick", action="store_true", help="smaller corpus")
     p.set_defaults(func=cmd_verify)
+
+
+#: Each command's help line, and what adds its arguments and its `func`.
+COMMANDS = {
+    "spec": ("compute the prime spectrum", _spec_arguments),
+    "sl": ("idempotent reflection as a table", _sl_arguments),
+    "dot": ("Hasse diagram as DOT", _dot_arguments),
+    "topology": ("ideal opens of the reflection", _topology_arguments),
+    "adjoint": ("adjoint of a semilattice map", _adjoint_arguments),
+    "verify": ("run the property suites over a seeded corpus", _verify_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone.
+
+    Both parse an argv that starts with `command` alike, and the one-command
+    parser costs a fraction to build: on small inputs building the parser of
+    every command takes longer than the maths.
+    """
+    parser = _Parser(prog="monospec",
+                     description="Exact spectra of commutative monoids")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS if command is None else [command]:
+        help_text, add_arguments = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # help, no arguments and unknown commands need every command's parser
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         return args.func(args)
     except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,16 +1,18 @@
+import argparse
 import os
 import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
+from types import ModuleType
 
 import pytest
 
 from faults import patch_every_binding
 import monospec
-from monospec.cli import main
+from monospec.cli import COMMANDS, build_parser, main
 from monospec.core import format_monoid_table
-from monospec.errors import IntegrityError
+from monospec.errors import InputError, IntegrityError
 from monospec.presentation import free_semilattice
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -303,12 +305,67 @@ def test_limits_import_leaves_presentation_unloaded():
 
 def test_package_reexports_presentation_lazily():
     """`import monospec` leaves `presentation` unloaded; reading one of its
-    names from the package loads it, and `__all__` lists them all."""
+    names from the package loads it. `__all__` lists them and every other
+    name the package re-exports, and no submodule."""
     names = ("Presentation", "free_semilattice", "parse_presentation", "sl_of_presentation")
     assert "monospec.presentation" not in _newly_loaded(statement="import monospec")
     loaded = _newly_loaded(statement=f"from monospec import {', '.join(names)}")
     assert "monospec.presentation" in loaded
-    assert set(names) <= set(monospec.__all__)
+    assert not [name for name in monospec.__all__ if isinstance(getattr(monospec, name), ModuleType)]
+    api = {name for name in dir(monospec)
+           if not name.startswith("_") and not isinstance(getattr(monospec, name), ModuleType)}
+    assert sorted(monospec.__all__) == sorted(api.union(names))
+
+
+def _parse(parser, argv, capsys):
+    """What `parser` makes of argv: its namespace, or its exit code or error
+    text, with what it printed."""
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as e:
+        outcome = ("exit", e.code)
+    except InputError as e:
+        outcome = ("error", str(e))
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [[command, "--help"] for command in COMMANDS] + [
+    ["--help"], [], ["bogus"], ["spec"], ["spec", "a.mon", "extra"],
+    ["spec", "--bogus", "a.mon"], ["spec", "--kind", "x", "a.mon"], ["verify", "--seed", "x"],
+    ["adjoint", "a.mon"], ["spec", "--via", "all", "--cap", "8", "a.mon"], ["verify", "--quick"],
+    ["adjoint", "a.mon", "b.mon", "--images", "x", "y", "--left"],
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_one_command_parser_parses_like_the_full_one(argv, capsys):
+    """`main` builds only the parser of the command argv names; it gives the
+    same namespace, exit, error and help text as the parser of every command."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    assert _parse(build_parser(command), argv, capsys) == _parse(build_parser(), argv, capsys)
+
+
+def test_main_builds_only_the_parser_of_its_command(monkeypatch, capsys):
+    """A command's call builds two parsers, the top one and its own; help
+    builds them all. Given no argv, `main` reads the command from sys.argv."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = ["spec", "--via", "all", str(DATA / "free3.mon")]
+    assert main(argv) == 0
+    assert len(built) == 2
+    monkeypatch.setattr(sys, "argv", ["monospec"] + argv)
+    assert main() == 0
+    assert len(built) == 4
+    built.clear()
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0 and len(built) == 1 + len(COMMANDS)
+    out = capsys.readouterr().out
+    assert all(command in out for command in COMMANDS)
 
 
 def test_reflection_fault_reaches_the_cli_through_the_lazy_import(monkeypatch, capsys):
