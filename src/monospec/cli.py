@@ -9,6 +9,7 @@ never bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -219,11 +220,12 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of `command` alone.
+    """A new parser of every command, or of `command` alone.
 
     Both parse an argv that starts with `command` alike, and the one-command
     parser costs a fraction to build: on small inputs building the parser of
-    every command takes longer than the maths.
+    every command takes longer than the maths.  Each call builds afresh, so a
+    caller may change what it returns; `main` keeps its own copies in `_parser`.
     """
     parser = _Parser(prog="monospec",
                      description="Exact spectra of commutative monoids")
@@ -234,12 +236,23 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+#: The parsers `main` uses, one per command name (None for every command's),
+#: each built on its first use in the process.  A parse leaves its parser as
+#: it was, and each `cmd_*` reads the module's names when it runs.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
+    """Run the command argv (by default `sys.argv[1:]`) names; its exit code.
+
+    The first call of a command in a process builds that command's parser and
+    later calls reuse it, so a one-shot process builds one parser either way.
+    """
     argv = sys.argv[1:] if argv is None else argv
     # help, no arguments and unknown commands need every command's parser
     command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args = _parser(command).parse_args(argv)
         return args.func(args)
     except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import os
 import subprocess
 import sys
@@ -10,10 +11,12 @@ import pytest
 
 from faults import patch_every_binding
 import monospec
+from monospec import cli
 from monospec.cli import COMMANDS, build_parser, main
 from monospec.core import format_monoid_table
 from monospec.errors import InputError, IntegrityError
 from monospec.presentation import free_semilattice
+from monospec.spectrum import route_primes
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -330,22 +333,44 @@ def _parse(parser, argv, capsys):
     return outcome, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv", [[command, "--help"] for command in COMMANDS] + [
+#: Help exits, errors and good parses, each as `main` is given them.
+PARSE_ARGVS = [[command, "--help"] for command in COMMANDS] + [
     ["--help"], [], ["bogus"], ["spec"], ["spec", "a.mon", "extra"],
     ["spec", "--bogus", "a.mon"], ["spec", "--kind", "x", "a.mon"], ["verify", "--seed", "x"],
     ["adjoint", "a.mon"], ["spec", "--via", "all", "--cap", "8", "a.mon"], ["verify", "--quick"],
     ["adjoint", "a.mon", "b.mon", "--images", "x", "y", "--left"],
-], ids=lambda argv: " ".join(argv) or "no arguments")
+]
+
+
+def _command(argv):
+    return argv[0] if argv and argv[0] in COMMANDS else None
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS, ids=lambda argv: " ".join(argv) or "no arguments")
 def test_one_command_parser_parses_like_the_full_one(argv, capsys):
     """`main` builds only the parser of the command argv names; it gives the
     same namespace, exit, error and help text as the parser of every command."""
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    assert _parse(build_parser(command), argv, capsys) == _parse(build_parser(), argv, capsys)
+    assert _parse(build_parser(_command(argv)), argv, capsys) == _parse(build_parser(), argv, capsys)
+
+
+def test_a_reused_parser_parses_like_a_fresh_one(monkeypatch, capsys):
+    """Help exits, errors and good parses, run twice in a row through `main`'s
+    cached parsers, each give what a fresh parser gives; a parse shares no
+    list with the one before."""
+    monkeypatch.setattr(cli, "_parser", functools.cache(build_parser))
+    for argv in PARSE_ARGVS + PARSE_ARGVS:
+        cached = _parse(cli._parser(_command(argv)), argv, capsys)
+        assert cached == _parse(build_parser(_command(argv)), argv, capsys), argv
+    argv = ["adjoint", "a.mon", "b.mon", "--images", "x", "y"]
+    first, second = (cli._parser("adjoint").parse_args(argv) for _ in range(2))
+    assert first.images == second.images == ["x", "y"] and first.images is not second.images
 
 
 def test_main_builds_only_the_parser_of_its_command(monkeypatch, capsys):
-    """A command's call builds two parsers, the top one and its own; help
-    builds them all. Given no argv, `main` reads the command from sys.argv."""
+    """A command's first call in a process builds two parsers, the top one and
+    its own, and its later calls build none; help builds them all, once.
+    Given no argv, `main` reads the command from sys.argv."""
+    monkeypatch.setattr(cli, "_parser", functools.cache(build_parser))
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -357,15 +382,39 @@ def test_main_builds_only_the_parser_of_its_command(monkeypatch, capsys):
     argv = ["spec", "--via", "all", str(DATA / "free3.mon")]
     assert main(argv) == 0
     assert len(built) == 2
+    assert main(argv) == 0
+    assert len(built) == 2
     monkeypatch.setattr(sys, "argv", ["monospec"] + argv)
     assert main() == 0
+    assert len(built) == 2
+    assert main(["sl", str(DATA / "free3.mon")]) == 0
     assert len(built) == 4
-    built.clear()
-    with pytest.raises(SystemExit) as exited:
-        main(["--help"])
-    assert exited.value.code == 0 and len(built) == 1 + len(COMMANDS)
-    out = capsys.readouterr().out
-    assert all(command in out for command in COMMANDS)
+    capsys.readouterr()
+    for count in (1 + len(COMMANDS), 0):
+        built.clear()
+        with pytest.raises(SystemExit) as exited:
+            main(["--help"])
+        assert exited.value.code == 0 and len(built) == count
+        out = capsys.readouterr().out
+        assert all(command in out for command in COMMANDS)
+
+
+def test_caching_the_parser_freezes_no_binding(monkeypatch, capsys):
+    """A fault patched in after `main` cached the `spec` parser still reaches
+    its calls, and `build_parser` returns a new parser on every call."""
+    monkeypatch.setattr(cli, "_parser", functools.cache(build_parser))
+    argv = ["spec", "--via", "all", str(DATA / "free3.mon")]
+    assert main(argv) == 0
+
+    def faulty(M, via, cap):
+        primes = route_primes(M, via, cap)
+        return primes[1:] if via == "brute" else primes
+
+    patch_every_binding(monkeypatch, "route_primes", faulty)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "routes agree: NO" in capsys.readouterr().out
+    assert build_parser("spec") is not build_parser("spec")
 
 
 def test_reflection_fault_reaches_the_cli_through_the_lazy_import(monkeypatch, capsys):
