@@ -31,7 +31,7 @@ def _load(path: str, kind: str | None, cap: int = SUBSET_CAP):
     """The input's table, and (P, generator images) for a presentation P or None.
 
     A presentation is read as its reflection table, whose spectrum is the
-    presented monoid's; past `cap` generators or elements it raises CapExceeded.
+    presented monoid's; past `cap` elements it raises CapExceeded.
     """
     if kind is None:
         suffix = Path(path).suffix

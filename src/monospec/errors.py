@@ -26,8 +26,9 @@ class CapExceeded(InputError):
     """A set is over the size cap, raised only by `core.enforce_cap`.
 
     The cap bounds every set whose subsets are enumerated (a table's elements,
-    a presentation's generators, a semilattice's elements) and a reflection's
-    size before it is tabulated."""
+    a semilattice's elements) and a reflection's size before it is
+    tabulated; a presentation's reflection is refused as soon as cap + 1 of
+    its closed generator sets are listed, whatever the number of generators."""
 
 
 class IntegrityError(Exception):

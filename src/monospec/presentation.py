@@ -5,8 +5,9 @@ words (exponent vectors).  The presented monoid itself is never materialized;
 only its reflection, the quotient of the free semilattice on the generators by
 the supports of the relations, which is always finite.  That quotient is the
 lattice of generator sets closed under the rules supp(u) <= X => supp(v) <= X
-and back, so it is computed from the Horn closures of the 2^k generator
-bitmasks; the free semilattice itself is never built for it.
+and back, so `sl_of_presentation` lists those closed sets, as bitmasks, with
+Ganter's NextClosure and names each element by its closed set; neither the
+free semilattice nor its 2^k generator sets are built for it.
 """
 
 from __future__ import annotations
@@ -171,17 +172,22 @@ def sl_of_presentation(P: Presentation,
                        cap: int = SUBSET_CAP) -> tuple[JoinSemilattice, tuple[int, ...]]:
     """Reflection of the presented monoid, plus the images of the generators.
 
-    Two generator sets are identified when they have the same closure under
-    the rules supp(u) <= X => supp(v) <= X and back, one pair per relation
-    u = v (x^a with a >= 1 has the support {x}).  The classes are numbered in
-    the order of `subsets_in_order`, each represented by its first subset;
-    this is the quotient of the free semilattice by the relations' supports,
-    with its element order and names, computed in O(2^k k r) without the 4^k
-    free table.  Raises CapExceeded when k or the reflection's size exceeds
-    `cap`; the size check comes before any |L| x |L| table is built.
+    The elements are the generator sets closed under the rules
+    supp(u) <= X => supp(v) <= X and back, one pair per relation u = v
+    (x^a with a >= 1 has the support {x}); the join of two is the closure of
+    their union.  This is the quotient of the free semilattice by the
+    relations' supports, without its 2^k elements or 4^k table.  NextClosure
+    (Ganter & Wille, 1999) lists the closed sets as masks in increasing order,
+    at most k closure calls each, so the work grows with |L|, not 2^k.  Each
+    class is named by its closed set, and the classes are ordered by size,
+    then lexicographically; names are bracketed when |L| < 2^k.
+
+    Raises CapExceeded as soon as cap + 1 closed sets are listed, before any
+    table is built, whatever the number of generators.  Raises
+    IntegrityError when a listed set breaks a rule or a join of listed sets
+    (the generators' images and the identity included) is not listed.
     """
     k = len(P.generators)
-    enforce_cap("generator count", k, cap)
     rules = set()
     for u, v in P.relations:
         a, b = _mask(support(u)), _mask(support(v))
@@ -189,41 +195,49 @@ def sl_of_presentation(P: Presentation,
             rules.add((a, b))
         if a & ~b:
             rules.add((b, a))
-    # closure[x] from the closure of x less its lowest bit, already computed
-    closure = [0] * (1 << k)
-    closure[0] = _horn_closure(0, rules)
-    for x in range(1, 1 << k):
-        low = x & -x
-        c = closure[x ^ low]
-        closure[x] = c if c & low else _horn_closure(c | low, rules)
-    subsets = subsets_in_order(k)
-    class_of = [0] * (1 << k)
-    reps, rep_subsets = [], []
-    numbered = {}
-    for s in subsets:
-        x = _mask(s)
-        c = closure[x]
-        if c not in numbered:
-            numbered[c] = len(reps)
-            reps.append(x)
-            rep_subsets.append(s)
-        class_of[x] = numbered[c]
-    enforce_cap("reflection size", len(reps), cap)
-    # congruence: X and its representative stay together after adding any
-    # generator, hence after adding any set (singletons generate the union)
-    bits = [1 << g for g in range(k)]
-    for x in range(1 << k):
-        r = reps[class_of[x]]
-        if r != x:
-            for bit in bits:
-                if class_of[x | bit] != class_of[r | bit]:
-                    raise IntegrityError(
-                        f"closure classes are not a congruence: masks {x} ~ {r} "
-                        f"split after adding mask {bit}"
-                    )
-    table = tuple(tuple(class_of[a | b] for b in reps) for a in reps)
-    names = tuple(_subset_name(P.generators, s) for s in rep_subsets)
-    if len(reps) < len(subsets):
-        names = tuple(f"[{name}]" for name in names)
-    gen_images = tuple(class_of[bit] for bit in bits)
+    # the next closed set: for the lowest g not in the last one whose closure
+    # of the last one's bits above g, plus g, adds no bit above g, that closure
+    closed = [_horn_closure(0, rules)]
+    while len(closed) <= cap:
+        last = closed[-1]
+        for g in range(k):
+            bit = 1 << g
+            if not last & bit:
+                high = last & -(bit << 1)
+                c = _horn_closure(high | bit, rules)
+                if c & -(bit << 1) == high:
+                    closed.append(c)
+                    break
+        else:
+            break
+    enforce_cap("reflection size", len(closed), cap)
+
+    def name(x: int) -> str:
+        return _subset_name(P.generators, [g for g in range(k) if x >> g & 1])
+
+    for c in closed:
+        for a, b in rules:
+            if a & c == a and b & ~c:
+                raise IntegrityError(f"listed generator set {name(c)} is not closed "
+                                     f"under the rule {name(a)} => {name(b)}")
+    members = {c: [g for g in range(k) if c >> g & 1] for c in closed}
+    closed.sort(key=lambda c: (len(members[c]), members[c]))
+    index = {c: i for i, c in enumerate(closed)}
+    joins = dict(index)  # each mask's class; a listed set is its own closure
+
+    def join(x: int) -> int:
+        if x not in joins:
+            c = _horn_closure(x, rules)
+            if c not in index:
+                raise IntegrityError(f"the closure {name(c)} of {name(x)} is not a listed set")
+            joins[x] = index[c]
+        return joins[x]
+
+    if join(0) != 0:
+        raise IntegrityError("the closure of the empty set is not the least listed set")
+    table = tuple(tuple([join(a | b) for b in closed]) for a in closed)
+    names = tuple(_subset_name(P.generators, members[c]) for c in closed)
+    if len(closed) < 1 << k:
+        names = tuple(f"[{n}]" for n in names)
+    gen_images = tuple(join(1 << g) for g in range(k))
     return from_monoid(FiniteMonoid(table, names)), gen_images

@@ -11,7 +11,7 @@ import pytest
 
 from faults import patch_every_binding
 import monospec
-from monospec import cli
+from monospec import cli, presentation
 from monospec.cli import COMMANDS, build_parser, main
 from monospec.core import format_monoid_table
 from monospec.errors import InputError, IntegrityError
@@ -20,6 +20,7 @@ from monospec.spectrum import route_primes
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SCALE = Path(__file__).resolve().parent / "scale"
 GOLDEN_COMMANDS = {
     "spec-via-all": ["spec", "--via", "all"],
     "spec-via-brute": ["spec", "--via", "brute"],
@@ -86,6 +87,41 @@ def test_spec_cap_exceeded(files, capsys):
     assert main(["spec", str(twelve)]) == 1
     assert perf_counter() - start < 0.5
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+def _count_closures(monkeypatch) -> list:
+    """Record the argument of every Horn closure the presentation kernel runs."""
+    calls, closure = [], presentation._horn_closure
+
+    def counted(x, rules):
+        calls.append(x)
+        return closure(x, rules)
+
+    monkeypatch.setattr(presentation, "_horn_closure", counted)
+    return calls
+
+
+def test_free_13_generators_stop_at_the_17th_closed_set(monkeypatch, capsys):
+    """NextClosure refuses the free semilattice on 13 generators (8192
+    closed sets) once it lists the 17th, after at most 13 closure calls per
+    listed set past the first, so never a 2^13 walk."""
+    calls = _count_closures(monkeypatch)
+    assert main(["spec", str(SCALE / "free13.pres")]) == 1
+    assert capsys.readouterr().err == "error: reflection size 17 exceeds the cap of 16\n"
+    assert 0 < len(calls) <= 17 * 13 + 1
+
+
+def test_tied_24_generators_within_the_cap(monkeypatch, capsys):
+    """24 generators tied in 4 blocks reflect to the free semilattice on 4
+    (16 elements), which all three routes read at the default cap.  The
+    closure calls: at most 24 per listed set past the first, one per join
+    of two sets that are not nested, and one each for the identity and the
+    24 generators."""
+    calls = _count_closures(monkeypatch)
+    assert main(["spec", "--via", "all", str(SCALE / "tied24.pres")]) == 0
+    out = capsys.readouterr().out
+    assert "spec via alpha: 16 primes" in out and out.endswith("routes agree: yes\n")
+    assert len(calls) <= 15 * 24 + 1 + 16 * 15 // 2 + 1 + 24
 
 
 def test_reflection_commands_cap_presentations(files, capsys):

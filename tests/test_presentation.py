@@ -1,22 +1,28 @@
 import random
+from collections import deque
+from functools import reduce
 
 import pytest
+
+from faults import patch_every_binding
 
 from monospec import presentation
 from monospec.cli import main
 from monospec.congruence import sl_reflection
-from monospec.core import is_idempotent, sierpinski
+from monospec.core import is_idempotent, sierpinski, submonoid_closure
 from monospec.corpus import corpus_monoids
-from monospec.errors import CapExceeded, ParseError
+from monospec.errors import CapExceeded, InputError, IntegrityError, ParseError
 from monospec.presentation import (
     Presentation,
     free_semilattice,
     parse_presentation,
     sl_of_presentation,
     subsets_in_order,
+    support,
 )
 from monospec.semilattice import from_monoid
-from monospec.verify import free_quotient
+from monospec.spectrum import generator_supports, route_primes
+from monospec.verify import fixes_generators, free_quotient
 
 
 def test_parse_natural_numbers():
@@ -91,30 +97,53 @@ def test_free_semilattice_small():
                 assert table[i][j] == subsets.index(tuple(sorted(set(a) | set(b))))
 
 
+def _closed_set(L, gens, x) -> int:
+    """The generators below x, as a mask: the closed set that x stands for."""
+    return sum(1 << g for g, image in enumerate(gens) if L.le(image, x))
+
+
+def _members(mask) -> list[int]:
+    return [g for g in range(mask.bit_length()) if mask >> g & 1]
+
+
+def _render(P, mask) -> str:
+    return "{" + ",".join(P.generators[g] for g in _members(mask)) + "}"
+
+
 def test_sl_of_presentation_examples():
     L, gens = sl_of_presentation(parse_presentation("gens: t"))
     assert L.monoid.table == sierpinski().table
     assert gens == (1,)
+    assert L.names == ("{}", "{t}")
 
     # x^2 y = y^3 reflects to {x,y} ~ {y}: a three-element chain
     L, gens = sl_of_presentation(parse_presentation("gens: x y\nrels: x^2 y = y^3"))
     assert L.size == 3
     x, y = gens
     assert L.le(x, y) and not L.le(y, x)
+    assert L.names == ("[{}]", "[{x}]", "[{x,y}]")
 
-    # x^2 = 1 collapses everything
-    L, _ = sl_of_presentation(parse_presentation("gens: x\nrels: x^2 = 1"))
-    assert L.size == 1
+    # ab = c^2: the closed sets are {}, {a}, {b} and {a,b,c}, by size then lex
+    L, gens = sl_of_presentation(parse_presentation("gens: a b c\nrels: a b = c^2"))
+    assert L.names == ("[{}]", "[{a}]", "[{b}]", "[{a,b,c}]")
+    assert gens == (1, 2, 3) and L.join(1, 2) == 3
+
+    # x^2 = 1 collapses everything: the one closed set holds x
+    L, gens = sl_of_presentation(parse_presentation("gens: x\nrels: x^2 = 1"))
+    assert L.size == 1 and gens == (0,)
+    assert L.names == ("[{x}]",)
 
     # g0 = gi^2 ties 16 generators together: {} below one top element
     names = " ".join(f"g{i}" for i in range(16))
     rels = " ; ".join(f"g0 = g{i}^2" for i in range(1, 16))
     L, gens = sl_of_presentation(parse_presentation(f"gens: {names}\nrels: {rels}"))
     assert L.size == 2 and gens == (1,) * 16
-    assert L.names == ("[{}]", "[{g0}]")
+    assert L.names == ("[{}]", "[{" + ",".join(f"g{i}" for i in range(16)) + "}]")
 
 
 def test_sl_of_presentation_equals_free_quotient():
+    """The reflection is the 4^k quotient up to the isomorphism that fixes
+    the generators' images, and each element is named by its closed set."""
     rng = random.Random("closure-vs-quotient")
     for _ in range(1000):
         k = rng.randint(0, 7)
@@ -124,9 +153,93 @@ def test_sl_of_presentation_equals_free_quotient():
         P = Presentation(tuple(f"g{i}" for i in range(k)), rels)
         L, gens = sl_of_presentation(P, cap=1 << 7)
         Q, ref_gens = free_quotient(P)
-        assert L.monoid == Q, P
-        assert L.leq == from_monoid(Q).leq, P
-        assert gens == ref_gens, P
+        assert fixes_generators(L.monoid, gens, Q, ref_gens), P
+        # x goes to the join of the images of the generators below x, and the
+        # isomorphism carries the order too
+        closed = [_closed_set(L, gens, x) for x in L.elements()]
+        QL = from_monoid(Q)
+        iso = [reduce(QL.join, (ref_gens[g] for g in range(k) if c >> g & 1), 0) for c in closed]
+        assert all(L.leq[x][y] == QL.leq[iso[x]][iso[y]]
+                   for x in L.elements() for y in L.elements()), P
+        assert closed == sorted(closed, key=lambda c: (c.bit_count(), _members(c))), P
+        names = tuple(_render(P, c) for c in closed)
+        assert L.names == (names if L.size == 1 << k else tuple(f"[{n}]" for n in names)), P
+
+
+def _scan_reflection(P):
+    """The reference: Horn closures of all 2^k generator sets.
+
+    Each mask's closure comes from the closure of the mask less its lowest
+    bit, and classes are numbered by their first subset in `subsets_in_order`.
+    Returns each class's closed set, the generators' classes and the
+    closure of every mask.
+    """
+    k = len(P.generators)
+    rules = set()
+    for u, v in P.relations:
+        a = sum(1 << g for g in support(u))
+        b = sum(1 << g for g in support(v))
+        rules |= {(a, b), (b, a)}
+
+    def close(x):
+        while True:
+            y = x
+            for a, b in rules:
+                if a & y == a:
+                    y |= b
+            if y == x:
+                return x
+            x = y
+
+    closure = [close(0)] + [0] * ((1 << k) - 1)
+    for x in range(1, 1 << k):
+        low = x & -x
+        c = closure[x ^ low]
+        closure[x] = c if c & low else close(c | low)
+    numbered = {}
+    for subset in subsets_in_order(k):
+        numbered.setdefault(closure[sum(1 << g for g in subset)], len(numbered))
+    return tuple(numbered), tuple(numbered[closure[1 << g]] for g in range(k)), closure
+
+
+def _random_presentation(rng, k):
+    rels = tuple((tuple(rng.choice((0, 0, 1, 2)) for _ in range(k)),
+                  tuple(rng.choice((0, 0, 1, 3)) for _ in range(k)))
+                 for _ in range(rng.randint(0, k + 2)))
+    return Presentation(tuple(f"g{i}" for i in range(k)), rels)
+
+
+def test_next_closure_matches_the_subset_scan():
+    """NextClosure lists the family the 2^k scan finds, with the same
+    generator images and join table up to renaming, and the same cap outcome."""
+    rng = random.Random("next-closure-vs-scan")
+    outcomes = {"within": 0, "over": 0}
+    ks = set()  # the generator counts whose families were compared
+    for _ in range(600):
+        k = rng.randint(0, 10)
+        P = _random_presentation(rng, k)
+        cap = rng.choice((4, 16, 64, 256))
+        family, ref_gens, closure = _scan_reflection(P)
+        try:
+            L, gens = sl_of_presentation(P, cap)
+        except CapExceeded as e:
+            assert len(family) > cap, P
+            assert str(e) == f"reflection size {cap + 1} exceeds the cap of {cap}"
+            outcomes["over"] += 1
+            if len(family) > 128:
+                continue
+            # at a cap of exactly |L|, the family is listed in full
+            L, gens = sl_of_presentation(P, len(family))
+        else:
+            assert len(family) <= cap, P
+            outcomes["within"] += 1
+        ks.add(k)
+        closed = [_closed_set(L, gens, x) for x in L.elements()]
+        assert sorted(closed) == sorted(family), P
+        assert [closed[g] for g in gens] == [family[g] for g in ref_gens], P
+        assert all(closed[L.join(x, y)] == closure[closed[x] | closed[y]]
+                   for x in L.elements() for y in L.elements()), P
+    assert min(outcomes.values()) >= 100 and ks == set(range(11)), (outcomes, ks)
 
 
 def test_free_semilattice_prime_count():
@@ -169,8 +282,66 @@ def test_table_presentation_consistency():
         assert _iso_as_semilattices(L1.monoid, L2.monoid)
 
 
+def table_presentation(M):
+    """M as a presentation P_M on a greedy generating set G, and G.
+
+    Each element x gets a word w(x) over G by BFS from the identity, and
+    P_M has the relation w(x)·g = w(x·g) for every x and g; every word then
+    rewrites to w of its value, so P_M presents M itself.
+    """
+    G = []
+    for x in M.elements():
+        if x not in submonoid_closure(M, G):
+            G.append(x)
+
+    def times(word, i):
+        return tuple(e + (j == i) for j, e in enumerate(word))
+
+    words = {0: (0,) * len(G)}
+    queue = deque([0])
+    while queue:
+        x = queue.popleft()
+        for i, g in enumerate(G):
+            if M.mul(x, g) not in words:
+                words[M.mul(x, g)] = times(words[x], i)
+                queue.append(M.mul(x, g))
+    rels = tuple((times(words[x], i), words[M.mul(x, g)])
+                 for x in M.elements() for i, g in enumerate(G))
+    return Presentation(tuple(f"g{i}" for i in range(len(G))), rels), G
+
+
+def table_presentation_mismatches(monoids) -> int:
+    """The monoids M whose P_M's generator supports are not {P ∩ G : P a brute prime of M}."""
+    fails = 0
+    for M in monoids:
+        P, G = table_presentation(M)
+        expected = {frozenset(i for i, g in enumerate(G) if g in p) for p in route_primes(M, "brute")}
+        try:
+            L, gens = sl_of_presentation(P)
+            fails += set(generator_supports(gens, route_primes(L.monoid, "alpha"))) != expected
+        except (InputError, IntegrityError):
+            fails += 1
+    return fails
+
+
+def test_table_presentations_have_the_primes_of_their_tables():
+    monoids = [M for seed in range(3) for M in corpus_monoids(seed)]
+    assert len(monoids) == 450
+    assert max(len(table_presentation(M)[1]) for M in monoids) > 5
+    assert table_presentation_mismatches(monoids) == 0
+
+
+def test_support_fault_fails_the_table_presentations(monkeypatch):
+    """A `support` that keeps only exponents >= 2 passes for the presentation
+    path's own routes, but not against the primes of the tables."""
+    patch_every_binding(monkeypatch, "support",
+                        lambda word: tuple(i for i, e in enumerate(word) if e >= 2))
+    assert table_presentation_mismatches(corpus_monoids(0)) > 0
+
+
 def test_one_pass_horn_closure_is_an_integrity_failure(monkeypatch, tmp_path, capsys):
-    """A Horn closure that applies its rules once fails the congruence self-check.
+    """A Horn closure that applies its rules once lists a set that is not
+    closed, which the check against the rules themselves catches.
 
     The check holds by theorem, so the CLI blames the code (exit 2), not the
     valid presentation (exit 1).
@@ -188,4 +359,5 @@ def test_one_pass_horn_closure_is_an_integrity_failure(monkeypatch, tmp_path, ca
                  "rels: g2 = g3 g2; g2 g1 = g2; g0 = g4 g1; g0 g4 = g3 g0\n")
     assert main(["spec", "--via", "all", str(f)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("integrity failure: closure classes are not a congruence")
+    assert err == ("integrity failure: listed generator set {g1,g2,g3,g4} is not closed "
+                   "under the rule {g1,g4} => {g0}\n")
