@@ -132,15 +132,14 @@ def _subset_name(names, subset) -> str:
 
 
 @memoized
-def free_semilattice(k: int, names=None) -> JoinSemilattice:
-    """Subsets of k generators under union; identity is the empty set.
+def free_semilattice(k: int) -> JoinSemilattice:
+    """Subsets of the k generators g1, ..., gk under union; identity is the empty set.
 
     Up to 7 generators: CapExceeded when its 2^k elements exceed 128, before
     the 4^k table (2^14 cells at k = 7) is built.
     """
     enforce_cap("size", 1 << k, 1 << 7)
-    if names is None:
-        names = tuple(f"g{i + 1}" for i in range(k))
+    names = tuple(f"g{i + 1}" for i in range(k))
     subsets = subsets_in_order(k)
     masks = [_mask(s) for s in subsets]
     index = [0] * (1 << k)

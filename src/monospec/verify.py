@@ -26,12 +26,14 @@ tests build their own corpora and call the same `run_suite`.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import islice
 
-from .congruence import congruence_closure, grillet_relation, quotient, sl_reflection
+from .congruence import congruence_closure, grillet_relation, sl_reflection
 from .core import (
     FiniteMonoid,
     MonoidMap,
+    enforce_cap,
     is_hom,
     is_idempotent,
     is_submonoid,
@@ -41,6 +43,7 @@ from .core import (
     submonoid_as_monoid,
     submonoid_closure,
     units,
+    validate_monoid,
 )
 from .corpus import (
     chain_semilattice,
@@ -53,12 +56,7 @@ from .corpus import (
 )
 from .errors import InputError, IntegrityError, ValidationError
 from .limits import profinite_check, zg_check
-from .presentation import (
-    free_semilattice,
-    sl_of_presentation,
-    subsets_in_order,
-    support,
-)
+from .presentation import sl_of_presentation, support
 from .semilattice import (
     JoinSemilattice,
     MonotoneMap,
@@ -89,43 +87,6 @@ from .topology import basic_opens, carries, hom_opens, least_opens, union_contin
 def routes_agree(M: FiniteMonoid) -> bool:
     """The three independent computations of the prime set, canonically sorted, agree."""
     return len({route_primes(M, via) for via in ROUTES}) == 1
-
-
-def free_quotient(P):
-    """Reference reflection of a presentation, with the generator images.
-
-    The quotient of the free semilattice on the generators by the congruence
-    closure of the relations' supports: O(4^k), independent of the closure
-    classes `sl_of_presentation` computes.  Up to 7 generators (the corpus
-    has at most 6), as `free_semilattice` allows.
-    """
-    k = len(P.generators)
-    F = free_semilattice(k, names=P.generators)
-    index = {s: i for i, s in enumerate(subsets_in_order(k))}
-    C = congruence_closure(F.monoid, [(index[support(u)], index[support(v)])
-                                      for u, v in P.relations])
-    Q, q = quotient(F.monoid, C)
-    return Q, tuple(q.images[index[(i,)]] for i in range(k))
-
-
-def fixes_generators(A: FiniteMonoid, a_gens, B: FiniteMonoid, b_gens) -> bool:
-    """Some isomorphism A -> B sends each a_gens[i] to b_gens[i].
-
-    When a_gens generates A there is at most one such hom: it is read off by
-    walking A from the identity along the generators, then checked to be a
-    bijective hom.
-    """
-    f = {0: 0}
-    work = [0]
-    while work:
-        x = work.pop()
-        for a, b in zip(a_gens, b_gens):
-            y = A.table[x][a]
-            if y not in f:
-                f[y] = B.table[f[x]][b]
-                work.append(y)
-    return (len(f) == A.size == B.size == len(set(f.values()))
-            and is_hom(MonoidMap(A, B, tuple(f[x] for x in A.elements()))))
 
 
 def _key(item):
@@ -173,14 +134,31 @@ def count_failures(holds, items) -> int:
 
 
 def presented_routes_agree(P) -> bool:
-    """The reflection is `free_quotient` up to the isomorphism that fixes the
-    generators' images, and the routes agree on it.
+    """L = `sl_of_presentation(P)` is P's reflection R, by R's universal
+    property, and the routes agree on L.
 
-    Both are generated by those images, so that isomorphism is unique.
+    L is a semilattice generated by the generators' images in which every
+    relation holds, so it is a quotient of R.  R has |Spec R| = |Hom(P, I)|
+    elements, since alpha is a bijection for finite R, and a hom P -> {1, 0}
+    is a set S of generators that supp(u) meets exactly when supp(v) does,
+    for every relation u = v.  So L is R when it has that many elements.
+    Counting them scans the 2^k generator sets, so k is capped.
     """
-    L, gen_images = sl_of_presentation(P)
-    Q, ref_images = free_quotient(P)
-    return fixes_generators(L.monoid, gen_images, Q, ref_images) and routes_agree(L.monoid)
+    k = len(P.generators)
+    enforce_cap("generators", k)
+    L, images = sl_of_presentation(P)
+    M = L.monoid
+    validate_monoid(M.table)  # from_monoid checked idempotence
+
+    def join(word):
+        return reduce(L.join, (images[g] for g in support(word)), 0)
+
+    sides = [(sum(1 << g for g in support(u)), sum(1 << g for g in support(v)))
+             for u, v in P.relations]
+    homs = sum(all(bool(a & S) == bool(b & S) for a, b in sides) for S in range(1 << k))
+    return (submonoid_closure(M, images) == frozenset(M.elements())
+            and all(join(u) == join(v) for u, v in P.relations)
+            and L.size == homs and routes_agree(M))
 
 
 def theta_holds(M: FiniteMonoid) -> bool:

@@ -27,7 +27,7 @@ from monospec.core import (
 from monospec.corpus import chain_semilattice, corpus_monoids, cyclic_monoid
 from monospec.errors import ParseError, ValidationError
 from monospec.limits import profinite_system
-from monospec.presentation import free_semilattice, parse_presentation
+from monospec.presentation import Presentation, free_semilattice, parse_presentation, sl_of_presentation
 from monospec.semilattice import from_monoid, meet_table, monotone_map
 from monospec.spectrum import primes_bruteforce
 from monospec.topology import ideal_opens
@@ -323,7 +323,9 @@ def test_memo_keys_compare_names():
         R, q = sl_reflection(L.monoid)
         assert R.monoid is L.monoid and q.target is L.monoid
         # an unhashable argument has no key and is computed each time
-        assert free_semilattice(1, names=["x"]).names == ("{}", "{x}")
+        unhashable = Presentation(("x",), [])
+        assert sl_of_presentation(unhashable)[0].names == ("{}", "{x}")
+        assert sl_of_presentation(unhashable) is not sl_of_presentation(unhashable)
     for fn, (_, args) in calls.items():
         assert renamed[fn] == fn(*args), fn.__name__
     assert {(h.source.names, h.target.names) for h in renamed[monoid_homs]} == {(N.names, N.names)}

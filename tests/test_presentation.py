@@ -1,15 +1,24 @@
 import random
 from collections import deque
-from functools import reduce
+from functools import cache, reduce
+from operator import add
 
 import pytest
 
 from faults import patch_every_binding
 
-from monospec import presentation
+from monospec import presentation, verify
 from monospec.cli import main
-from monospec.congruence import sl_reflection
-from monospec.core import is_idempotent, sierpinski, submonoid_closure
+from monospec.congruence import congruence_closure, quotient, sl_reflection
+from monospec.core import (
+    SUBSET_CAP,
+    FiniteMonoid,
+    MonoidMap,
+    is_hom,
+    is_idempotent,
+    sierpinski,
+    submonoid_closure,
+)
 from monospec.corpus import corpus_monoids
 from monospec.errors import CapExceeded, InputError, IntegrityError, ParseError
 from monospec.presentation import (
@@ -20,9 +29,8 @@ from monospec.presentation import (
     subsets_in_order,
     support,
 )
-from monospec.semilattice import from_monoid
+from monospec.semilattice import from_monoid, top
 from monospec.spectrum import generator_supports, route_primes
-from monospec.verify import fixes_generators, free_quotient
 
 
 def test_parse_natural_numbers():
@@ -97,6 +105,53 @@ def test_free_semilattice_small():
                 assert table[i][j] == subsets.index(tuple(sorted(set(a) | set(b))))
 
 
+def free_quotient(P):
+    """Reference reflection of a presentation, with the generator images.
+
+    The quotient of the free semilattice on the generators by the congruence
+    closure of the relations' supports: O(4^k), independent of the closed
+    sets `sl_of_presentation` lists.  Up to 7 generators, as
+    `free_semilattice` allows.
+    """
+    k = len(P.generators)
+    F = free_semilattice(k)
+    index = {s: i for i, s in enumerate(subsets_in_order(k))}
+    C = congruence_closure(F.monoid, [(index[support(u)], index[support(v)])
+                                      for u, v in P.relations])
+    Q, q = quotient(F.monoid, C)
+    return Q, tuple(q.images[index[(i,)]] for i in range(k))
+
+
+def fixes_generators(A: FiniteMonoid, a_gens, B: FiniteMonoid, b_gens) -> bool:
+    """Some isomorphism A -> B sends each a_gens[i] to b_gens[i].
+
+    When a_gens generates A there is at most one such hom: it is read off by
+    walking A from the identity along the generators, then checked to send
+    each a_gens[i] to b_gens[i] and to be a bijective hom.
+    """
+    f = {0: 0}
+    work = [0]
+    while work:
+        x = work.pop()
+        for a, b in zip(a_gens, b_gens):
+            y = A.table[x][a]
+            if y not in f:
+                f[y] = B.table[f[x]][b]
+                work.append(y)
+    return (len(f) == A.size == B.size == len(set(f.values()))
+            and all(f[a] == b for a, b in zip(a_gens, b_gens))
+            and is_hom(MonoidMap(A, B, tuple(f[x] for x in A.elements()))))
+
+
+def test_fixes_generators_checks_every_generator():
+    """The walk reaches element 1 along the first generator only, so the
+    second pair (1 -> 0) must be checked apart: no map sends 1 to both."""
+    F = free_semilattice(1).monoid
+    assert fixes_generators(F, (1,), F, (1,))
+    assert fixes_generators(F, (1, 1), F, (1, 1))
+    assert not fixes_generators(F, (1, 1), F, (1, 0))
+
+
 def _closed_set(L, gens, x) -> int:
     """The generators below x, as a mask: the closed set that x stands for."""
     return sum(1 << g for g, image in enumerate(gens) if L.le(image, x))
@@ -141,18 +196,22 @@ def test_sl_of_presentation_examples():
     assert L.names == ("[{}]", "[{" + ",".join(f"g{i}" for i in range(16)) + "}]")
 
 
+@cache
+def _oracle_items():
+    """1000 seeded presentations with 0 to 7 generators, each with its 4^k
+    reference, built once for the tests that compare with it: no fault that
+    they inject reaches the reference."""
+    rng = random.Random("closure-vs-quotient")
+    presentations = [_random_presentation(rng, rng.randint(0, 7)) for _ in range(1000)]
+    return tuple((P, free_quotient(P)) for P in presentations)
+
+
 def test_sl_of_presentation_equals_free_quotient():
     """The reflection is the 4^k quotient up to the isomorphism that fixes
     the generators' images, and each element is named by its closed set."""
-    rng = random.Random("closure-vs-quotient")
-    for _ in range(1000):
-        k = rng.randint(0, 7)
-        rels = tuple((tuple(rng.choice((0, 0, 1, 2)) for _ in range(k)),
-                      tuple(rng.choice((0, 0, 1, 3)) for _ in range(k)))
-                     for _ in range(rng.randint(0, k + 2)))
-        P = Presentation(tuple(f"g{i}" for i in range(k)), rels)
+    for P, (Q, ref_gens) in _oracle_items():
+        k = len(P.generators)
         L, gens = sl_of_presentation(P, cap=1 << 7)
-        Q, ref_gens = free_quotient(P)
         assert fixes_generators(L.monoid, gens, Q, ref_gens), P
         # x goes to the join of the images of the generators below x, and the
         # isomorphism carries the order too
@@ -164,6 +223,135 @@ def test_sl_of_presentation_equals_free_quotient():
         assert closed == sorted(closed, key=lambda c: (c.bit_count(), _members(c))), P
         names = tuple(_render(P, c) for c in closed)
         assert L.names == (names if L.size == 1 << k else tuple(f"[{n}]" for n in names)), P
+
+
+def _swap_first_images(valid):
+    """A reflection that sends the first generator where the second goes, and back."""
+    def swapped(P, cap=SUBSET_CAP):
+        L, gens = valid(P, cap)
+        return L, gens[1::-1] + gens[2:]
+    return swapped
+
+
+def test_swapped_generator_images_fail_the_presented_verdict(monkeypatch):
+    """With a's and b's images swapped, b = c no longer holds in L: the
+    verdict reads the relations in L itself.  Comparing L with the 4^k
+    reference by a walk that checked only the map it read off passed."""
+    P = parse_presentation("gens: a b c\nrels: b = c")
+    assert verify.presented_routes_agree(P)
+    patch_every_binding(monkeypatch, "sl_of_presentation",
+                        _swap_first_images(presentation.sl_of_presentation))
+    assert not verify.presented_routes_agree(P)
+
+
+def _oracle_verdict(P, reference):
+    """The verdict by the 4^k reference: L is `free_quotient` up to the
+    isomorphism that fixes the generators' images, and the routes agree on L."""
+    L, gens = presentation.sl_of_presentation(P)
+    Q, ref_gens = reference
+    return fixes_generators(L.monoid, gens, Q, ref_gens) and verify.routes_agree(L.monoid)
+
+
+def _outcome(verdict, *args):
+    """What `count_failures` makes of a verdict, with a refusal kept apart."""
+    try:
+        return verdict(*args)
+    except CapExceeded as e:
+        return str(e)
+    except (InputError, IntegrityError):
+        return False
+
+
+def _one_way(valid):
+    """Each relation u = v read as u = u v, so only supp(u) => supp(v) holds."""
+    def one_way(P, cap=SUBSET_CAP):
+        rels = tuple((u, tuple(map(add, u, v))) for u, v in P.relations)
+        return valid(P._replace(relations=rels), cap)
+    return one_way
+
+
+def _closure_on_meeting_premises(x, rules):
+    """A Horn closure that fires a rule once its premise meets the set."""
+    while True:
+        y = x
+        for a, b in rules:
+            if a & y or not a:
+                y |= b
+        if y == x:
+            return x
+        x = y
+
+
+def _swap_join_entries(valid):
+    """A reflection whose joins 1 v 2 and 1 v 3 trade places (kept symmetric)."""
+    def swapped(P, cap=SUBSET_CAP):
+        L, gens = valid(P, cap)
+        if L.size < 4:
+            return L, gens
+        t = [list(row) for row in L.monoid.table]
+        t[1][2], t[1][3] = t[1][3], t[1][2]
+        t[2][1], t[3][1] = t[1][2], t[1][3]
+        return from_monoid(L.monoid._replace(table=tuple(map(tuple, t)))), gens
+    return swapped
+
+
+def _last_to_top(valid):
+    """A reflection that sends the last generator to the top."""
+    def raised(P, cap=SUBSET_CAP):
+        L, gens = valid(P, cap)
+        return L, gens[:-1] + (top(L),) if gens else gens
+    return raised
+
+
+FAULTS = {
+    "none": None,
+    "one-way Horn rules": ("sl_of_presentation", _one_way),
+    "closure on meeting premises": ("_horn_closure", lambda valid: _closure_on_meeting_premises),
+    "swapped join entries": ("sl_of_presentation", _swap_join_entries),
+    "swapped generator images": ("sl_of_presentation", _swap_first_images),
+    "last generator to the top": ("sl_of_presentation", _last_to_top),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_presented_verdict_matches_the_free_quotient_oracle(fault, monkeypatch):
+    """On 1000 seeded presentations with 0 to 7 generators, the verdict by
+    the universal property gives the outcome of the 4^k reference plus the
+    routes, a refusal at the cap included, with no fault and under each."""
+    items = _oracle_items()
+    if FAULTS[fault]:
+        name, make = FAULTS[fault]
+        patch_every_binding(monkeypatch, name, make(getattr(presentation, name)))
+    outcomes = []
+    for P, reference in items:
+        outcome = _outcome(verify.presented_routes_agree, P)
+        assert outcome == _outcome(_oracle_verdict, P, reference), (fault, P)
+        outcomes.append(outcome)
+    assert {len(P.generators) for P, _ in items} == set(range(8))
+    # both outcomes occur, refusals too, and each fault fails some items
+    assert outcomes.count(True) >= 100 and any(isinstance(o, str) for o in outcomes)
+    failed = outcomes.count(False)
+    assert failed == 0 if fault == "none" else failed >= 100, failed
+
+
+def _tied(k):
+    """k generators in 4 blocks tied by g_i = g_(i+4)^2: 16 closed sets from 4 on."""
+    rels = tuple((tuple(int(g == i) for g in range(k)), tuple(2 * (g == i + 4) for g in range(k)))
+                 for i in range(k - 4))
+    return Presentation(tuple(f"g{i}" for i in range(k)), rels)
+
+
+def test_presented_verdict_reaches_the_generator_cap():
+    """The 2^k count of homs P -> {1, 0} is capped at 16 generators, past the
+    4^k reference's 7, and refuses the 17th."""
+    with pytest.raises(CapExceeded):
+        free_quotient(_tied(8))
+    for k in (12, SUBSET_CAP):
+        assert sl_of_presentation(_tied(k))[0].size == 16
+        assert verify.presented_routes_agree(_tied(k)), k
+    with pytest.raises(CapExceeded) as info:
+        verify.presented_routes_agree(_tied(SUBSET_CAP + 1))
+    assert str(info.value) == "generators 17 exceeds the cap of 16"
 
 
 def _scan_reflection(P):
