@@ -104,31 +104,11 @@ def quotient(M: FiniteMonoid, C: Congruence) -> tuple[FiniteMonoid, MonoidMap]:
     table = tuple(
         tuple(class_of[mt[a][b]] for b in reps) for a in reps
     )
-    Q = FiniteMonoid(table, _class_names(M, reps))
+    Q = FiniteMonoid(table, tuple(f"[{M.names[r]}]" for r in reps))
     return Q, MonoidMap(M, Q, C.class_of)
 
 
-def _class_names(M: FiniteMonoid, reps) -> tuple[str, ...]:
-    """A quotient's element names: `[r]` for each class's least member r."""
-    return tuple(f"[{M.names[r]}]" for r in reps)
-
-
-def _reown_reflection(reflection, M: FiniteMonoid):
-    """A stored reflection of M's table, over M's names, as `quotient` names it.
-
-    Classes are numbered by least member, so class c's least member is the
-    first x with q(x) = c.
-    """
-    L, q = reflection
-    images = q.images
-    if L.size == M.size:
-        Q = M
-    else:
-        Q = L.monoid._replace(names=_class_names(M, map(images.index, range(L.size))))
-    return L._replace(monoid=Q), MonoidMap(M, Q, images)
-
-
-@memoized(tables=1, reown=_reown_reflection)
+@memoized
 def sl_reflection(M: FiniteMonoid) -> tuple[JoinSemilattice, MonoidMap]:
     """The universal idempotent quotient, as a join semilattice, with q.
 

@@ -5,15 +5,16 @@ Elements are integer indices into the table; the identity is always index 0
 plain frozensets of indices with a canonical sorted rendering.  The subset
 scans build their bit-sliced layout with `lanes` and read it with `members`.
 `memoized` functions share their results inside one `memo_scope` (a `verify`
-run) and compute afresh everywhere else; the table kernels among them key a
-monoid by its table, so a renamed copy reuses the result under its own names.
+run), keyed by argument value, and compute afresh everywhere else; a kernel
+whose result depends on the multiplication alone takes tables, not monoids,
+so renamed copies of one table share its entry.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 from .errors import CapExceeded, ParseError, ValidationError
@@ -81,29 +82,15 @@ def memo_scope():
         _memo.table = outer
 
 
-def table_key(value):
-    """The memo key of a table kernel's monoid or semilattice argument: its table."""
-    return getattr(value, "monoid", value).table
-
-
-def memoized(fn=None, *, tables=0, reown=None):
+def memoized(fn):
     """Inside a `memo_scope`, compute fn once per argument value; outside, just call it.
 
     The key is fn with its arguments in positional order, defaults filled in,
     by value: f(M), f(M, 16) and f(M, cap=16) share one entry when cap
-    defaults to 16.  fn takes positional-or-keyword parameters only, is pure,
-    and returns a value its callers do not mutate, since a hit hands out the
-    stored object.
-
-    A table kernel, whose result depends on its first `tables` arguments
-    (monoids or semilattices) only through their tables, keys those by
-    `table_key`, so name variants of one table share an entry.  A hit whose
-    names differ from the stored call's hands back `reown(result, *args)`, the
-    stored result rebuilt over the caller's arguments without rerunning fn, or
-    the result itself when it holds no names (no `reown`).
+    defaults to 16, and a call with an unhashable argument computes afresh.
+    fn takes positional-or-keyword parameters only, is pure, and returns a
+    value its callers do not mutate, since a hit hands out the stored object.
     """
-    if fn is None:
-        return partial(memoized, tables=tables, reown=reown)
     code, defaults = fn.__code__, fn.__defaults__ or ()
     params = code.co_varnames[:code.co_argcount]
     # each parameter's default, `_memo` for a required one: a call that omits one
@@ -116,23 +103,14 @@ def memoized(fn=None, *, tables=0, reown=None):
         if memo is None or kwargs and not kwargs.keys() <= set(rest):
             return fn(*args, **kwargs)  # an unknown or repeated keyword raises its TypeError
         tail = filled[len(args):]
-        full = args + (tuple([kwargs.get(p, d) for p, d in zip(rest, tail)]) if kwargs else tail)
+        key = fn, args + (tuple([kwargs.get(p, d) for p, d in zip(rest, tail)]) if kwargs else tail)
         try:
-            if tables:
-                head = full[:tables]
-                names = tuple([a.names for a in head])  # `_memo` has none
-                key = (fn, tuple(map(table_key, head)) + full[tables:])
-            else:
-                names, key = None, (fn, full)
-            stored, result = memo[key]
+            return memo[key]
         except KeyError:
             pass
-        except (AttributeError, TypeError):  # a missing or unhashable argument has no key
+        except TypeError:  # an unhashable argument has no key
             return fn(*args, **kwargs)
-        else:
-            return result if stored == names or reown is None else reown(result, *full)
-        result = fn(*args, **kwargs)
-        memo[key] = names, result
+        result = memo[key] = fn(*args, **kwargs)
         return result
 
     return wrapper
@@ -339,9 +317,14 @@ def is_hom(f: MonoidMap) -> bool:
     return all(im[src[a][b]] == tgt[im[a]][im[b]] for a in range(n) for b in range(a, n))
 
 
-@memoized(tables=2, reown=lambda homs, M, N: tuple([MonoidMap(M, N, h.images) for h in homs]))
 def monoid_homs(M: FiniteMonoid, N: FiniteMonoid) -> tuple[MonoidMap, ...]:
-    """All monoid homomorphisms M -> N, in lexicographic order of image tuples.
+    """All monoid homomorphisms M -> N, in lexicographic order of image tuples."""
+    return tuple([MonoidMap(M, N, images) for images in _hom_images(M.table, N.table)])
+
+
+@memoized
+def _hom_images(source, target) -> tuple[tuple[int, ...], ...]:
+    """The image tuples of the homs between two monoid tables, in lexicographic order.
 
     The search fixes the identity's image at 0, assigns elements 1, 2, ... in
     index order and tries their images in ascending order, so it finds the
@@ -349,24 +332,23 @@ def monoid_homs(M: FiniteMonoid, N: FiniteMonoid) -> tuple[MonoidMap, ...]:
     a*b = p (a <= b) whose largest index max(b, p) is e; it is tested as soon
     as e is assigned.
     """
-    n, m = M.size, N.size
-    tgt = N.table
+    n, m = len(source), len(target)
     checks = [[] for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            p = M.table[a][b]
+            p = source[a][b]
             checks[max(b, p)].append((a, b, p))
     images = [0] * n
     out = []
 
     def assign(e: int):
         if e == n:
-            out.append(MonoidMap(M, N, tuple(images)))
+            out.append(tuple(images))
             return
         for v in range(m):
             images[e] = v
             for a, b, p in checks[e]:
-                if tgt[images[a]][images[b]] != images[p]:
+                if target[images[a]][images[b]] != images[p]:
                     break
             else:
                 assign(e + 1)

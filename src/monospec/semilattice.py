@@ -60,7 +60,7 @@ def top(L: JoinSemilattice) -> int:
     return reduce(L.join, L.elements(), 0)
 
 
-@memoized(tables=1)  # the meets of a table hold no names
+@memoized
 def meet_table(L: JoinSemilattice) -> tuple[tuple[int, ...], ...]:
     """All binary meets: row a, column b holds the meet of a and b.
 

@@ -55,7 +55,12 @@ class Spectrum(NamedTuple):
 
 
 def build_spectrum(M: FiniteMonoid, points) -> Spectrum:
-    """Canonicalize a complete set of primes and tabulate the union monoid.
+    """Canonicalize a complete set of primes of M and tabulate the union monoid."""
+    return Spectrum(M, *_tabulate(points))
+
+
+def _tabulate(points) -> tuple[tuple[frozenset[int], ...], tuple[tuple[int, ...], ...]]:
+    """A spectrum's canonical points and union table, from a complete set of primes.
 
     Each point is also a bitmask of its members, so a union is one int OR
     and one dict lookup.
@@ -72,25 +77,29 @@ def build_spectrum(M: FiniteMonoid, points) -> Spectrum:
         table.append(row)
     if not pts or pts[0] != frozenset():
         raise IntegrityError("the empty prime is missing")
-    return Spectrum(M, tuple(pts), tuple(table))
+    return tuple(pts), tuple(table)
 
 
-@memoized(tables=1, reown=lambda S, M, cap: S._replace(owner=M))
 def primes_bruteforce(M: FiniteMonoid, cap: int = SUBSET_CAP) -> Spectrum:
-    """Scan all subsets (identity excluded up front) for the prime laws.
+    """The spectrum of M by the subset scan, which reads M's table alone."""
+    return Spectrum(M, *_brute_primes(M.table, cap))
+
+
+@memoized
+def _brute_primes(table, cap: int):
+    """Scan all subsets (identity excluded up front) for the prime laws; `_tabulate` them.
 
     The scan runs over the subsets of the non-identity elements, element x on
     lane x - 1 of `lanes`.  The subsets that break the ideal law (a in, a*x
     out) or the submonoid law on the complement (a and b out, a*b in) are
     ORed into `bad`, and the rest are the primes.
     """
-    n = M.size
+    n = len(table)
     # 2n lanes of 2^(n-1) bits take n * 2^(n-3) bytes: 16 GB at 32 elements
     enforce_cap("size", n, min(cap, 32))
     full = (1 << (1 << (n - 1))) - 1
     P = [0] + lanes(n - 1)  # no subset holds the identity
     NP = [full ^ lane for lane in P]
-    table = M.table
     bad = 0
     for a, v in {(a, v) for a in range(1, n) for v in table[a] if v != a}:
         bad |= P[a] & NP[v]
@@ -98,7 +107,7 @@ def primes_bruteforce(M: FiniteMonoid, cap: int = SUBSET_CAP) -> Spectrum:
         bad |= NP[a] & NP[b] & P[p]
     # one prime per element of the reflection, so at most n
     points = [frozenset(x + 1 for x in members(h)) for h in members(full ^ bad)]
-    return build_spectrum(M, points)
+    return _tabulate(points)
 
 
 def theta(f: MonoidMap) -> frozenset[int]:
@@ -146,9 +155,9 @@ def spec_monoid(M: FiniteMonoid, cap: int = SUBSET_CAP) -> Spectrum:
 def route_primes(M: FiniteMonoid, via: str, cap: int = SUBSET_CAP) -> tuple[frozenset[int], ...]:
     """The primes of M by the route named `via` (one of ROUTES), canonically ordered.
 
-    The hom route sorts its kernels here instead of calling `build_spectrum`,
-    which the brute and alpha routes share: a fault there then reaches two
-    routes, never all three, so the comparison still catches it.
+    The hom route sorts its kernels here instead of tabulating them with
+    `_tabulate`, which the brute and alpha routes share: a fault there then
+    reaches two routes, never all three, so the comparison still catches it.
     """
     if via == "brute":
         return primes_bruteforce(M, cap).points

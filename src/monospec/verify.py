@@ -18,9 +18,9 @@ the CLI `verify` command from a seed, and `run_all` builds them
 and runs every suite over them inside one `core.memo_scope`: the run shares
 its corpora and the values derived from them (brute spectra, reflections of
 tables and of presentations, homs, meet tables, chains, cyclic and free
-monoids), each built once, and nothing outlives the run.  Spectra,
-reflections, homs and meet tables are built once per table: a renamed copy
-gets them over its own names.  The acceptance
+monoids), each built once, and nothing outlives the run.  The hom search and
+the subset scan run once per table: a renamed copy shares their run and gets
+its homs and spectrum over its own names.  The acceptance
 tests build their own corpora and call the same `run_suite`.
 """
 

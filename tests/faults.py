@@ -1,9 +1,11 @@
-"""Fault injection for the tests: one patch reaches every binding of a function."""
+"""Fault injection for the tests: one patch reaches every binding of a function.
+Run counters for the table kernels behind the run memo."""
 
 import importlib
 import pkgutil
 
 import monospec
+from monospec import core, spectrum
 
 
 def patch_every_binding(monkeypatch, name, fn):
@@ -21,3 +23,25 @@ def patch_every_binding(monkeypatch, name, fn):
     assert len({id(vars(m)[name]) for m in bound}) == 1, f"monospec binds no single {name}"
     for module in bound:
         monkeypatch.setattr(module, name, fn)
+
+
+def count_kernel_runs(monkeypatch):
+    """Rebind the hom search and the brute scan to memoized copies that count their runs.
+
+    Returns a dict of run counts, `homs` and `brute`, that grows as the
+    kernels behind the memo run; a memo hit does not count.
+    """
+    runs = {"homs": 0, "brute": 0}
+    hom_search, brute_scan = core._hom_images.__wrapped__, spectrum._brute_primes.__wrapped__
+
+    def homs(source, target):
+        runs["homs"] += 1
+        return hom_search(source, target)
+
+    def brute(table, cap):
+        runs["brute"] += 1
+        return brute_scan(table, cap)
+
+    monkeypatch.setattr(core, "_hom_images", core.memoized(homs))
+    monkeypatch.setattr(spectrum, "_brute_primes", core.memoized(brute))
+    return runs

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import functools
 import os
 import subprocess
@@ -321,6 +322,22 @@ def test_cli_import_leaves_the_suites_unloaded():
     assert "monospec.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "monospec.verify", "monospec.corpus",
                               "monospec.topology", "monospec.dot", "monospec.presentation"})
+
+
+def test_package_imports_only_the_standard_library():
+    """Every absolute import in the package names `monospec` or a standard
+    library module, so the package installs with no dependencies."""
+    sources = sorted((Path(__file__).resolve().parent.parent / "src" / "monospec").glob("*.py"))
+    imported = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name.split(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module.split(".")[0]))
+    assert len(sources) > 10 and {"argparse", "threading"} <= {top for _, top in imported}
+    assert [(name, top) for name, top in sorted(imported)
+            if top != "monospec" and top not in sys.stdlib_module_names] == []
 
 
 @pytest.mark.parametrize("argv, expected", [

@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from monospec import core
+from faults import count_kernel_runs
+from monospec import core, spectrum
 from monospec.congruence import congruence_closure, sl_reflection
 from monospec.core import (
     MonoidMap,
@@ -29,7 +30,7 @@ from monospec.errors import ParseError, ValidationError
 from monospec.limits import profinite_system
 from monospec.presentation import Presentation, free_semilattice, parse_presentation, sl_of_presentation
 from monospec.semilattice import from_monoid, meet_table, monotone_map
-from monospec.spectrum import primes_bruteforce
+from monospec.spectrum import primes_bruteforce, route_primes
 from monospec.topology import ideal_opens
 
 
@@ -283,29 +284,41 @@ def test_memoized_functions_do_not_share_entries():
 
 
 def test_memo_keys_fill_in_defaults():
-    """An omitted default and a keyword argument key a call as its positional form."""
+    """An omitted default and a keyword argument key a call as its positional
+    form, and `primes_bruteforce(M)`, `(M, 16)` and `(M, cap=16)` share the
+    brute scan's one entry, keyed by M's table and the cap."""
+    calls = []
+
+    @memoized
+    def shifted(x, shift=0):
+        calls.append(x)
+        return x + shift
+
+    with memo_scope():
+        assert (shifted(1), shifted(1, 0), shifted(1, shift=0), shifted(x=1)) == (1, 1, 1, 1)
+        assert calls == [1] and list(core._memo.table) == [(shifted.__wrapped__, (1, 0))]
+        with pytest.raises(TypeError):
+            shifted(1, bound=0)
+        with pytest.raises(TypeError):
+            shifted(1, 0, shift=0)
+        with pytest.raises(TypeError):
+            shifted(shift=0)
+        assert calls == [1] and len(core._memo.table) == 1
     M = cyclic_monoid(1, 2)
     with memo_scope():
         S = primes_bruteforce(M)
-        assert primes_bruteforce(M, 16) is S and primes_bruteforce(M, cap=16) is S
-        assert [args for fn, args in core._memo.table
-                if fn is primes_bruteforce.__wrapped__] == [(M.table, 16)]
-        assert primes_bruteforce(M, 17) is not S
-    with memo_scope():
-        with pytest.raises(TypeError):
-            primes_bruteforce(M, bound=16)
-        with pytest.raises(TypeError):
-            primes_bruteforce(M, 16, cap=16)
-        with pytest.raises(TypeError):
-            primes_bruteforce(cap=16)
-        assert core._memo.table == {}
+        assert primes_bruteforce(M, 16) == S and primes_bruteforce(M, cap=16) == S
+        assert S.owner is M
+        assert list(core._memo.table) == [(spectrum._brute_primes.__wrapped__, (M.table, 16))]
+        primes_bruteforce(M, 17)
+        assert len(core._memo.table) == 2
 
 
 def test_memo_keys_compare_names():
-    """The four table kernels key a monoid or semilattice by its table: a
-    renamed copy shares the entry and gets back what it computes outside a
-    scope, under its own names; a call under the stored names gets the stored
-    object."""
+    """A memo key compares arguments by value, names included.  The hom search
+    and the brute scan take tables, so a renamed copy shares their entries;
+    the reflection and the meet table key their whole argument.  Each call
+    gets back what it computes outside a scope, under its own names."""
     M = cyclic_monoid(1, 2)  # t ~ t2 in the reflection, so it renames classes
     N = validate_monoid(M.table, names=["u", "v", "w"])
     L = sl_reflection(M)[0]
@@ -315,9 +328,11 @@ def test_memo_keys_compare_names():
     with memo_scope():
         first = {fn: fn(*args) for fn, (args, _) in calls.items()}
         renamed = {fn: fn(*args) for fn, (_, args) in calls.items()}
-        assert all(fn(*args) is first[fn] for fn, (args, _) in calls.items())
-        assert sorted(fn.__name__ for fn, _ in core._memo.table) == sorted(
-            fn.__name__ for fn in calls)
+        assert all(fn(*args) == first[fn] for fn, (args, _) in calls.items())
+        assert sl_reflection(M) is first[sl_reflection]
+        assert sorted(fn.__name__ for fn, _ in core._memo.table) == [
+            "_brute_primes", "_hom_images", "meet_table", "meet_table",
+            "sl_reflection", "sl_reflection"]
         # an idempotent table is its own reflection, under either names
         sl_reflection(K.monoid)
         R, q = sl_reflection(L.monoid)
@@ -332,6 +347,21 @@ def test_memo_keys_compare_names():
     assert renamed[primes_bruteforce].owner.names == ("u", "v", "w")
     R, q = renamed[sl_reflection]
     assert R.names == ("[u]", "[v]") and q.source.names == ("u", "v", "w") and q.target is R.monoid
+
+
+def test_renamed_copy_runs_each_kernel_once(monkeypatch):
+    """Inside one scope, the hom and brute routes on M and on a renamed copy
+    run the hom search and the brute scan once each; outside, every call runs."""
+    runs = count_kernel_runs(monkeypatch)
+    M = cyclic_monoid(2, 3)
+    N = validate_monoid(M.table, names=[f"x{i}" for i in M.elements()])
+    with memo_scope():
+        for via in ("hom", "brute"):
+            assert route_primes(M, via) == route_primes(N, via)
+        assert runs == {"homs": 1, "brute": 1}
+    for via in ("hom", "brute"):
+        route_primes(M, via), route_primes(N, via)
+    assert runs == {"homs": 3, "brute": 3}
 
 
 def _records():

@@ -154,18 +154,21 @@ def test_hom_fault_is_caught(monkeypatch, capsys):
 
 
 def test_build_spectrum_fault_is_caught(monkeypatch, capsys):
-    """A `build_spectrum` that drops a point reaches brute and alpha, not hom.
+    """A tabulation that drops a point reaches brute and alpha, not hom.
 
+    Both `build_spectrum` and the brute scan tabulate through `_tabulate`.
     The hom route sorts its own kernels, so it still disagrees with the other
     two; a hom route through `build_spectrum` would agree with them here.
     """
-    valid = spectrum.build_spectrum
+    valid = spectrum._tabulate
 
-    def faulty(M, points):
-        S = valid(M, points)
-        return S._replace(points=S.points[:-1])
+    def faulty(points):
+        points, table = valid(points)
+        return points[:-1], table
 
-    monkeypatch.setattr(spectrum, "build_spectrum", faulty)
+    monkeypatch.setattr(spectrum, "_tabulate", faulty)
+    I = sierpinski()
+    assert route_primes(I, "brute") == route_primes(I, "alpha") == (frozenset(),)
     assert _routes_disagree(capsys) == (20, 20)
 
 

@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from faults import patch_every_binding
+from faults import count_kernel_runs, patch_every_binding
 from monospec import congruence, core, limits, spectrum, verify
 from monospec.cli import main
 from monospec.core import SUBSET_CAP, FiniteMonoid
@@ -179,16 +179,55 @@ def test_brute_fault_fails_verify_through_the_cli(monkeypatch, capsys):
     assert "FAIL three-route agreement" in out.splitlines()[0]
 
 
+def _size_of_table(arg):
+    """The size of a table argument, or of a monoid's or a semilattice's table; else arg."""
+    arg = getattr(arg, "monoid", arg)
+    if isinstance(arg, FiniteMonoid):
+        return arg.size
+    return len(arg) if type(arg) is tuple and arg and type(arg[0]) is tuple else arg
+
+
+class _SizeKeyedMemo(dict):
+    """A run memo that keys each table argument, bare or in a monoid, by its size alone."""
+
+    @staticmethod
+    def _confused(key):
+        fn, args = key
+        return fn, tuple(map(_size_of_table, args))
+
+    def __getitem__(self, key):
+        return super().__getitem__(self._confused(key))
+
+    def __setitem__(self, key, value):
+        super().__setitem__(self._confused(key), value)
+
+
 def test_memo_that_confuses_tables_fails_verify(monkeypatch, capsys):
     """A memo that keys a table by its size alone hands one table's spectra,
-    reflections and homs to every table of that size: the routes then agree
-    on wrong answers where one memo answers them all, and the suites must
-    still fail."""
-    monkeypatch.setattr(core, "table_key", lambda value: value.size)
+    reflections, homs and meet tables to every table of that size: the routes
+    then agree on wrong answers where one memo answers them all, and the
+    suites must still fail."""
+
+    @contextlib.contextmanager
+    def size_keyed_scope():
+        with core.memo_scope():
+            core._memo.table = _SizeKeyedMemo()
+            yield
+
+    monkeypatch.setattr(verify, "memo_scope", size_keyed_scope)
     assert main(["verify", "--quick", "--seed", "1"]) == 2
     lines = _suite_lines(capsys.readouterr().out)
     assert [name for _, name in lines] == [name for name, *_ in verify.SUITES.values()]
     assert ("FAIL", "three-route agreement") in lines
+
+
+def test_run_all_kernel_runs_stay_bounded(monkeypatch):
+    """Over seeds 6-11 the run memo lets `run_all` run the hom search 702
+    times and the brute scan 385 times, renamed copies of a table included."""
+    runs = count_kernel_runs(monkeypatch)
+    for seed in range(6, 12):
+        verify.run_all(seed)
+    assert runs["homs"] <= 702 and runs["brute"] <= 385
 
 
 def test_hom_bit_flip_fails_suites_through_the_cli(monkeypatch, capsys):
