@@ -5,9 +5,9 @@ Elements are integer indices into the table; the identity is always index 0
 plain frozensets of indices with a canonical sorted rendering.  The subset
 scans build their bit-sliced layout with `lanes` and read it with `members`.
 `memoized` functions share their results inside one `memo_scope` (a `verify`
-run), keyed by argument value, and compute afresh everywhere else; a kernel
-whose result depends on the multiplication alone takes tables, not monoids,
-so renamed copies of one table share its entry.
+run), keyed by the values of their positional arguments, and compute afresh
+everywhere else; a kernel whose result depends on the multiplication alone
+takes tables, not monoids, so renamed copies of one table share its entry.
 """
 
 from __future__ import annotations
@@ -85,32 +85,24 @@ def memo_scope():
 def memoized(fn):
     """Inside a `memo_scope`, compute fn once per argument value; outside, just call it.
 
-    The key is fn with its arguments in positional order, defaults filled in,
-    by value: f(M), f(M, 16) and f(M, cap=16) share one entry when cap
-    defaults to 16, and a call with an unhashable argument computes afresh.
-    fn takes positional-or-keyword parameters only, is pure, and returns a
-    value its callers do not mutate, since a hit hands out the stored object.
+    The key is fn with its positional arguments, by value: f(M) and f(M, 16)
+    are two entries even when 16 is the default, and a call with a keyword
+    or an unhashable argument computes afresh.  fn is pure and returns a
+    frozen value, since a hit hands out the stored object.
     """
-    code, defaults = fn.__code__, fn.__defaults__ or ()
-    params = code.co_varnames[:code.co_argcount]
-    # each parameter's default, `_memo` for a required one: a call that omits one
-    # finds no entry, since no key holding `_memo` is ever stored, and fn raises
-    filled = (_memo,) * (len(params) - len(defaults)) + defaults
-
     @wraps(fn)
     def wrapper(*args, **kwargs):
-        memo, rest = _memo.table, params[len(args):]
-        if memo is None or kwargs and not kwargs.keys() <= set(rest):
-            return fn(*args, **kwargs)  # an unknown or repeated keyword raises its TypeError
-        tail = filled[len(args):]
-        key = fn, args + (tuple([kwargs.get(p, d) for p, d in zip(rest, tail)]) if kwargs else tail)
+        memo = _memo.table
+        if memo is None or kwargs:
+            return fn(*args, **kwargs)
+        key = fn, args
         try:
             return memo[key]
         except KeyError:
             pass
         except TypeError:  # an unhashable argument has no key
-            return fn(*args, **kwargs)
-        result = memo[key] = fn(*args, **kwargs)
+            return fn(*args)
+        result = memo[key] = fn(*args)
         return result
 
     return wrapper

@@ -28,9 +28,9 @@ from .semilattice import JoinSemilattice, MonotoneMap, from_monoid
 @memoized
 def cyclic_monoid(index: int, period: int) -> FiniteMonoid:
     """The monogenic monoid with t^(index+period) = t^index."""
+    if index < 0 or period < 1:
+        raise ValueError("need index >= 0 and period >= 1")
     size = index + period
-    if size < 1 or period < 1:
-        raise ValueError("need index >= 0 and period >= 1 with at least one element")
 
     def reduce_exp(e: int) -> int:
         if e >= size:
@@ -79,42 +79,24 @@ def _structured_monoids(max_size: int) -> list[FiniteMonoid]:
     return [m for m in out if m.size <= max_size]
 
 
-class _Seeded:
-    """An endless seeded sequence, evaluated only as far as it has been read.
-
-    Its items are fixed by the seed, so reading further never changes a
-    prefix already handed out; `prefix` hands out a fresh list each time.
-    """
-
-    def __init__(self, items):
-        self._items, self._read = items, []
-
-    def prefix(self, count: int) -> list:
-        self._read.extend(islice(self._items, max(0, count - len(self._read))))
-        return self._read[:count]
-
-
 @memoized
-def _monoid_sequence(seed: int, max_size: int) -> _Seeded:
-    """The structured monoids, then random quotients of them, for ever."""
-    def items():
-        rng = random.Random(f"monoids:{seed}")
-        base = _structured_monoids(max_size)
-        yield from base
-        while True:
-            M = rng.choice(base)
-            yield random_quotient(M, rng)
-
-    return _Seeded(items())
+def _monoids(seed: int, count: int, max_size: int) -> tuple[FiniteMonoid, ...]:
+    """The structured monoids, then random quotients of them, `count` in all."""
+    rng = random.Random(f"monoids:{seed}")
+    base = _structured_monoids(max_size)
+    out = base[:count]
+    while len(out) < count:
+        out.append(random_quotient(rng.choice(base), rng))
+    return tuple(out)
 
 
 def corpus_monoids(seed: int, count: int = 150, max_size: int = 10) -> list[FiniteMonoid]:
     """The first `count` monoids of the seeded sequence of tables of at most max_size.
 
-    A shorter corpus is a prefix of a longer one; inside a `memo_scope` every
-    count for one (seed, max_size) reads the same sequence, built once.
+    Every count draws the same sequence, so a shorter corpus is a prefix of a
+    longer one.
     """
-    return _monoid_sequence(seed, max_size).prefix(count)
+    return list(_monoids(seed, count, max_size))
 
 
 def corpus_semilattices(seed: int, count: int = 40, max_size: int = 10) -> list[JoinSemilattice]:

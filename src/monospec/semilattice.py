@@ -117,6 +117,7 @@ def _adjoint(f: MonotoneMap, related, combine) -> MonotoneMap:
     return MonotoneMap(tgt, src, images)
 
 
+@memoized
 def right_adjoint(f: MonotoneMap) -> MonotoneMap:
     """The map y -> Max{x | f(x) <= y}, characterized by f(x) <= y iff x <= g(y).
 

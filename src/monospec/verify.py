@@ -17,11 +17,13 @@ way a run reports a fault.  `suite_corpora` selects each suite's corpora for
 the CLI `verify` command from a seed, and `run_all` builds them
 and runs every suite over them inside one `core.memo_scope`: the run shares
 its corpora and the values derived from them (brute spectra, reflections of
-tables and of presentations, homs, meet tables, chains, cyclic and free
-monoids), each built once, and nothing outlives the run.  The hom search and
-the subset scan run once per table: a renamed copy shares their run and gets
-its homs and spectrum over its own names.  The acceptance
-tests build their own corpora and call the same `run_suite`.
+tables and of presentations, homs, meet tables, right adjoints, chains,
+cyclic and free monoids), each built once, and nothing outlives the run.
+The hom search and the subset scan run once per table: a renamed copy
+shares their run and gets its homs and spectrum over its own names.  The
+verdicts derive every right adjoint they compare, so a corpus map that is
+not a join map fails its item.  The acceptance tests build their own
+corpora and call the same `run_suite`.
 """
 
 from __future__ import annotations
@@ -109,7 +111,8 @@ def count_failures(holds, items) -> int:
 
     Items are keyed by `_key`: a monoid by its table, a semilattice by its
     monoid's table, a monotone map by its endpoints' keys and its images, and
-    tuples, lists and sets by their frozen members.  This is sound because no
+    tuples (such as the adjoint suite's pairs of maps), lists and sets by
+    their frozen members.  This is sound because no
     verdict reads element names: names only flow into new names (`quotient`,
     `spectrum_monoid`) and into error text, and every value comparison inside
     a verdict compares objects derived from the same item.  A presentation
@@ -328,26 +331,25 @@ def zg_holds(chain) -> bool:
     return zg_check(*chain)
 
 
-def adjoint_holds(pair) -> bool:
-    """g is the right adjoint of f: the adjunction, and back to f; `left_adjoint`
-    raises ValidationError unless g preserves meets and the top."""
-    f, g = pair
+def adjoint_holds(f: MonotoneMap) -> bool:
+    """f's right adjoint g: the adjunction, and back to f; `right_adjoint` raises
+    ValidationError unless f preserves joins and the least element, and
+    `left_adjoint` unless g preserves meets and the top."""
+    g = right_adjoint(f)
     return check_adjunction(f, g) and left_adjoint(g).images == f.images
 
 
-def composition_holds(maps) -> bool:
-    """(f, g_f, h, g_h): the right adjoint of h after f is g_f after g_h."""
-    f, gf, h, gh = maps
-    return right_adjoint(compose_monotone(f, h)).images == compose_monotone(gh, gf).images
+def composition_holds(pair) -> bool:
+    """(f, h): the right adjoint of h after f is f's right adjoint after h's."""
+    f, h = pair
+    return (right_adjoint(compose_monotone(f, h)).images
+            == compose_monotone(right_adjoint(h), right_adjoint(f)).images)
 
 
 def adjoint_items(maps):
-    """The adjoint suite's corpora: each map with its right adjoint, and the
-    first 200 composable quadruples (f, g_f, h, g_h) of those pairs."""
-    pairs = [(f, right_adjoint(f)) for f in maps]
-    composable = list(islice(((f, gf, h, gh) for f, gf in pairs
-                              for h, gh in pairs if f.target == h.source), 200))
-    return pairs, composable
+    """The adjoint suite's corpora: the join maps, and the first 200 composable
+    pairs (f, h) of them; the verdicts derive the right adjoints."""
+    return maps, list(islice(((f, h) for f in maps for h in maps if f.target == h.source), 200))
 
 
 def module_invariants_hold(M: FiniteMonoid) -> bool:

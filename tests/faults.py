@@ -1,11 +1,11 @@
 """Fault injection for the tests: one patch reaches every binding of a function.
-Run counters for the table kernels behind the run memo."""
+Run counters for the table kernels and the right adjoints behind the run memo."""
 
 import importlib
 import pkgutil
 
 import monospec
-from monospec import core, spectrum
+from monospec import core, semilattice, spectrum
 
 
 def patch_every_binding(monkeypatch, name, fn):
@@ -26,13 +26,15 @@ def patch_every_binding(monkeypatch, name, fn):
 
 
 def count_kernel_runs(monkeypatch):
-    """Rebind the hom search and the brute scan to memoized copies that count their runs.
+    """Rebind the hom search, the brute scan and the right adjoint to memoized
+    copies that count their runs.
 
-    Returns a dict of run counts, `homs` and `brute`, that grows as the
-    kernels behind the memo run; a memo hit does not count.
+    Returns a dict of run counts, `homs`, `brute` and `adjoints`, that grows
+    as the functions behind the memo run; a memo hit does not count.
     """
-    runs = {"homs": 0, "brute": 0}
+    runs = {"homs": 0, "brute": 0, "adjoints": 0}
     hom_search, brute_scan = core._hom_images.__wrapped__, spectrum._brute_primes.__wrapped__
+    adjoint = semilattice.right_adjoint.__wrapped__
 
     def homs(source, target):
         runs["homs"] += 1
@@ -42,6 +44,11 @@ def count_kernel_runs(monkeypatch):
         runs["brute"] += 1
         return brute_scan(table, cap)
 
+    def right_adjoint(f):
+        runs["adjoints"] += 1
+        return adjoint(f)
+
     monkeypatch.setattr(core, "_hom_images", core.memoized(homs))
     monkeypatch.setattr(spectrum, "_brute_primes", core.memoized(brute))
+    patch_every_binding(monkeypatch, "right_adjoint", core.memoized(right_adjoint))
     return runs

@@ -283,10 +283,11 @@ def test_memoized_functions_do_not_share_entries():
         assert len(core._memo.table) == 2
 
 
-def test_memo_keys_fill_in_defaults():
-    """An omitted default and a keyword argument key a call as its positional
-    form, and `primes_bruteforce(M)`, `(M, 16)` and `(M, cap=16)` share the
-    brute scan's one entry, keyed by M's table and the cap."""
+def test_memo_keys_positional_calls():
+    """A call is keyed by its positional arguments as given, and a call with a
+    keyword computes afresh.  `primes_bruteforce(M)`, `(M, 16)` and
+    `(M, cap=16)` still share the brute scan's one entry, keyed by M's table
+    and the cap, which `primes_bruteforce` passes positionally."""
     calls = []
 
     @memoized
@@ -295,15 +296,18 @@ def test_memo_keys_fill_in_defaults():
         return x + shift
 
     with memo_scope():
-        assert (shifted(1), shifted(1, 0), shifted(1, shift=0), shifted(x=1)) == (1, 1, 1, 1)
-        assert calls == [1] and list(core._memo.table) == [(shifted.__wrapped__, (1, 0))]
+        assert (shifted(1), shifted(1, 0), shifted(1), shifted(1, 0)) == (1, 1, 1, 1)
+        assert calls == [1, 1]
+        assert list(core._memo.table) == [(shifted.__wrapped__, (1,)), (shifted.__wrapped__, (1, 0))]
+        assert (shifted(1, shift=0), shifted(x=1), shifted(1, shift=0)) == (1, 1, 1)
+        assert calls == [1, 1, 1, 1, 1]
         with pytest.raises(TypeError):
             shifted(1, bound=0)
         with pytest.raises(TypeError):
             shifted(1, 0, shift=0)
         with pytest.raises(TypeError):
             shifted(shift=0)
-        assert calls == [1] and len(core._memo.table) == 1
+        assert calls == [1, 1, 1, 1, 1] and len(core._memo.table) == 2
     M = cyclic_monoid(1, 2)
     with memo_scope():
         S = primes_bruteforce(M)
@@ -358,10 +362,10 @@ def test_renamed_copy_runs_each_kernel_once(monkeypatch):
     with memo_scope():
         for via in ("hom", "brute"):
             assert route_primes(M, via) == route_primes(N, via)
-        assert runs == {"homs": 1, "brute": 1}
+        assert runs == {"homs": 1, "brute": 1, "adjoints": 0}
     for via in ("hom", "brute"):
         route_primes(M, via), route_primes(N, via)
-    assert runs == {"homs": 3, "brute": 3}
+    assert runs == {"homs": 3, "brute": 3, "adjoints": 0}
 
 
 def _records():

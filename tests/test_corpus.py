@@ -1,5 +1,7 @@
 import hashlib
 
+import pytest
+
 from monospec.core import direct_product, sierpinski, trivial_monoid
 from monospec.corpus import (
     _structured_monoids,
@@ -23,6 +25,14 @@ def _structured_monoids_every_product(max_size):
     products = [direct_product(a, b) for a in out for b in out
                 if 1 < a.size * b.size <= max_size]
     return [m for m in out + products[:40] if m.size <= max_size], len(products)
+
+
+@pytest.mark.parametrize("index, period", [(-1, 2), (-2, 5)])
+def test_cyclic_monoid_rejects_a_negative_index(index, period):
+    """The arguments are checked up front: a negative index neither passes as a
+    smaller monoid nor reaches `validate_monoid` as an entry out of range."""
+    with pytest.raises(ValueError, match=r"need index >= 0 and period >= 1"):
+        cyclic_monoid(index, period)
 
 
 def test_structured_monoids_keep_the_first_40_products():

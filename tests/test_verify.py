@@ -21,7 +21,7 @@ import pytest
 from faults import count_kernel_runs, patch_every_binding
 from monospec import congruence, core, limits, spectrum, verify
 from monospec.cli import main
-from monospec.core import SUBSET_CAP, FiniteMonoid
+from monospec.core import FiniteMonoid
 from monospec.corpus import corpus_monoids, corpus_presentations
 from monospec.errors import IntegrityError, ValidationError
 from monospec.presentation import Presentation
@@ -135,11 +135,11 @@ def test_run_all_drops_its_memo(run_memos, monkeypatch):
 
 def test_memo_hands_out_values_no_caller_can_change(run_memos):
     verify.run_all(0, quick=True)
-    names = {fn.__name__ for fn, *_ in run_memos[0]}
-    assert "_monoid_sequence" in names
-    for (fn, *_), value in run_memos[0].items():
-        assert fn.__name__ == "_monoid_sequence" or _frozen(value), fn.__name__
-    # the corpus comes from a sequence that only grows; each read is a new list
+    names = {fn.__name__ for fn, _ in run_memos[0]}
+    assert {"_monoids", "right_adjoint"} <= names
+    for (fn, _), value in run_memos[0].items():
+        assert _frozen(value), fn.__name__
+    # every count draws the same sequence; each read is a new list
     expected = corpus_monoids(0, count=30, max_size=8)
     assert len(expected) == 30 and corpus_monoids(0, 80, 8)[:30] == expected
     with core.memo_scope():
@@ -156,13 +156,13 @@ def test_corpus_and_routes_share_presented_reflections():
         memo = core._memo.table
 
         def reflected():
-            return {args for fn, args, *_ in memo if fn.__name__ == "sl_of_presentation"}
+            return {args for fn, args in memo if fn.__name__ == "sl_of_presentation"}
 
         before = reflected()
         # every one past the fixed first presentation was drawn and reflected
-        assert {(P, SUBSET_CAP) for P in presentations[1:]} <= before
+        assert {(P,) for P in presentations[1:]} <= before
         assert verify.run_suite("three_routes", [], presentations)[1] == 0
-        assert reflected() - before == {(presentations[0], SUBSET_CAP)}
+        assert reflected() - before == {(presentations[0],)}
 
 
 def test_brute_fault_fails_verify_through_the_cli(monkeypatch, capsys):
@@ -179,21 +179,27 @@ def test_brute_fault_fails_verify_through_the_cli(monkeypatch, capsys):
     assert "FAIL three-route agreement" in out.splitlines()[0]
 
 
-def _size_of_table(arg):
-    """The size of a table argument, or of a monoid's or a semilattice's table; else arg."""
-    arg = getattr(arg, "monoid", arg)
-    if isinstance(arg, FiniteMonoid):
-        return arg.size
+def _size_of_bare_table(arg):
+    """The size of a table argument; else arg."""
     return len(arg) if type(arg) is tuple and arg and type(arg[0]) is tuple else arg
 
 
-class _SizeKeyedMemo(dict):
-    """A run memo that keys each table argument, bare or in a monoid, by its size alone."""
+def _size_of_table(arg):
+    """The size of a table argument, or of a monoid's or a semilattice's table; else arg."""
+    arg = getattr(arg, "monoid", arg)
+    return arg.size if isinstance(arg, FiniteMonoid) else _size_of_bare_table(arg)
 
-    @staticmethod
-    def _confused(key):
+
+class _SizeKeyedMemo(dict):
+    """A run memo that keys each argument by `size_of` of it."""
+
+    def __init__(self, size_of):
+        super().__init__()
+        self.size_of = size_of
+
+    def _confused(self, key):
         fn, args = key
-        return fn, tuple(map(_size_of_table, args))
+        return fn, tuple(map(self.size_of, args))
 
     def __getitem__(self, key):
         return super().__getitem__(self._confused(key))
@@ -202,32 +208,54 @@ class _SizeKeyedMemo(dict):
         super().__setitem__(self._confused(key), value)
 
 
+def _verify_under_size_keyed_memo(monkeypatch, capsys, size_of):
+    """The exit code and the suite lines of `verify --quick --seed 1` when its
+    run memo keys each argument by `size_of` of it."""
+
+    @contextlib.contextmanager
+    def size_keyed_scope():
+        with core.memo_scope():
+            core._memo.table = _SizeKeyedMemo(size_of)
+            yield
+
+    monkeypatch.setattr(verify, "memo_scope", size_keyed_scope)
+    code = main(["verify", "--quick", "--seed", "1"])
+    return code, _suite_lines(capsys.readouterr().out)
+
+
 def test_memo_that_confuses_tables_fails_verify(monkeypatch, capsys):
     """A memo that keys a table by its size alone hands one table's spectra,
     reflections, homs and meet tables to every table of that size: the routes
     then agree on wrong answers where one memo answers them all, and the
     suites must still fail."""
-
-    @contextlib.contextmanager
-    def size_keyed_scope():
-        with core.memo_scope():
-            core._memo.table = _SizeKeyedMemo()
-            yield
-
-    monkeypatch.setattr(verify, "memo_scope", size_keyed_scope)
-    assert main(["verify", "--quick", "--seed", "1"]) == 2
-    lines = _suite_lines(capsys.readouterr().out)
+    code, lines = _verify_under_size_keyed_memo(monkeypatch, capsys, _size_of_table)
+    assert code == 2
     assert [name for _, name in lines] == [name for name, *_ in verify.SUITES.values()]
     assert ("FAIL", "three-route agreement") in lines
 
 
+def test_memo_that_confuses_bare_tables_fails_verify(monkeypatch, capsys):
+    """A memo that keys only bare table arguments by their size confuses the
+    hom search and the brute scan, not the reflections.  The join-map corpus
+    is drawn from confused hom sets, so some of its maps are not join maps;
+    the verdicts derive the right adjoints, so each such map fails its item
+    instead of stopping the run before any suite line is printed."""
+    code, lines = _verify_under_size_keyed_memo(monkeypatch, capsys, _size_of_bare_table)
+    assert code == 2
+    assert [name for _, name in lines] == [name for name, *_ in verify.SUITES.values()]
+    assert ("FAIL", "naturality of the spectrum bijection") in lines
+    assert ("FAIL", "adjoint existence, round trip, duality") in lines
+
+
 def test_run_all_kernel_runs_stay_bounded(monkeypatch):
     """Over seeds 6-11 the run memo lets `run_all` run the hom search 702
-    times and the brute scan 385 times, renamed copies of a table included."""
+    times and the brute scan 385 times, renamed copies of a table included,
+    and compute 1619 right adjoints, each map's once for the naturality and
+    adjoint suites together."""
     runs = count_kernel_runs(monkeypatch)
     for seed in range(6, 12):
         verify.run_all(seed)
-    assert runs["homs"] <= 702 and runs["brute"] <= 385
+    assert runs["homs"] <= 702 and runs["brute"] <= 385 and runs["adjoints"] <= 1619
 
 
 def test_hom_bit_flip_fails_suites_through_the_cli(monkeypatch, capsys):
