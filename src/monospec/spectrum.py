@@ -90,9 +90,15 @@ def _brute_primes(table, cap: int):
     """Scan all subsets (identity excluded up front) for the prime laws; `_tabulate` them.
 
     The scan runs over the subsets of the non-identity elements, element x on
-    lane x - 1 of `lanes`.  The subsets that break the ideal law (a in, a*x
-    out) or the submonoid law on the complement (a and b out, a*b in) are
-    ORed into `bad`, and the rest are the primes.
+    lane x - 1 of `lanes`.  The subsets that break the ideal law (a in, some
+    multiple of a out) or the submonoid law on the complement (a and b out,
+    a*b in) are ORed into `bad`, and the rest are the primes.  With D[a] the
+    ideal aM as a bitmask, the ideal law is one AND per element a, against
+    the OR of the complements of its multiples.  The complement law is tested
+    only on pairs a <= b whose product p generates a smaller ideal than both:
+    if D[p] == D[a], then a lies in pM, so every subset that holds p and
+    passes the ideal law holds a too, and the instance cannot fire.  That
+    skips p in {a, b} and every pair that holds a unit.
     """
     n = len(table)
     # 2n lanes of 2^(n-1) bits take n * 2^(n-3) bytes: 16 GB at 32 elements
@@ -100,12 +106,23 @@ def _brute_primes(table, cap: int):
     full = (1 << (1 << (n - 1))) - 1
     P = [0] + lanes(n - 1)  # no subset holds the identity
     NP = [full ^ lane for lane in P]
+    D = [sum(1 << v for v in set(row)) for row in table]
     bad = 0
-    for a, v in {(a, v) for a in range(1, n) for v in table[a] if v != a}:
-        bad |= P[a] & NP[v]
-    for a, b, p in {(a, b, table[a][b]) for a in range(1, n) for b in range(a, n) if table[a][b]}:
-        bad |= NP[a] & NP[b] & P[p]
-    # one prime per element of the reflection, so at most n
+    for a in range(1, n):
+        out = 0
+        for v in members(D[a] ^ (1 << a)):
+            out |= NP[v]
+        bad |= P[a] & out
+    for a in range(1, n):
+        for b in range(a, n):
+            p = table[a][b]
+            if D[p] != D[a] and D[p] != D[b]:
+                bad |= NP[a] & NP[b] & P[p]
+    # one prime per element of the reflection, so at most n: a faulty scan
+    # stops here, before it builds a point for each of up to 2^(n-1) subsets
+    kept = (full ^ bad).bit_count()
+    if kept > n:
+        raise IntegrityError(f"the subset scan kept {kept} subsets of {n} elements, more than {n} primes")
     points = [frozenset(x + 1 for x in members(h)) for h in members(full ^ bad)]
     return _tabulate(points)
 

@@ -125,6 +125,14 @@ def test_tied_24_generators_within_the_cap(monkeypatch, capsys):
     assert len(calls) <= 15 * 24 + 1 + 16 * 15 // 2 + 1 + 24
 
 
+def test_brute_scan_at_24_elements(capsys):
+    """chain(4) x chain(6) at a raised cap: the brute scan over 2^23 subsets
+    finds the 24 primes, one per pair of proper upsets, and alpha agrees."""
+    assert main(["spec", "--via", "brute,alpha", "--cap", "24", str(SCALE / "chain4xchain6.mon")]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("spec via brute: 24 primes\n") and out.endswith("routes agree: yes\n")
+
+
 def test_reflection_commands_cap_presentations(files, capsys):
     # the free reflection on 10 generators has 1024 elements; sl, dot and
     # topology refuse it at the default cap instead of printing its table

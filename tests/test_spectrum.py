@@ -1,12 +1,20 @@
 import re
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
 from monospec import cli, limits, spectrum, verify
 from monospec.congruence import sl_reflection
-from monospec.core import MonoidMap, direct_product, monoid_homs, sierpinski, validate_monoid
+from monospec.core import (
+    MonoidMap,
+    direct_product,
+    lanes,
+    members,
+    monoid_homs,
+    sierpinski,
+    validate_monoid,
+)
 from monospec.corpus import chain_semilattice, corpus_monoids, cyclic_group, cyclic_monoid
 from monospec.errors import CapExceeded, IntegrityError, ValidationError
 from monospec.presentation import free_semilattice, parse_presentation, sl_of_presentation
@@ -75,6 +83,41 @@ def test_primes_bruteforce_matches_definition():
     chain17 = primes_bruteforce(chain_semilattice(17).monoid, cap=17)
     assert len(chain17.points) == 17
     assert chain17.points == tuple(frozenset(range(k, 17)) for k in range(17, 0, -1))
+
+
+def _every_instance_scan(table):
+    """The primes of a table by the lane scan that tests every instance of both laws."""
+    n = len(table)
+    full = (1 << (1 << (n - 1))) - 1
+    P = [0] + lanes(n - 1)
+    NP = [full ^ lane for lane in P]
+    bad = 0
+    for a, v in {(a, v) for a in range(1, n) for v in table[a] if v != a}:
+        bad |= P[a] & NP[v]
+    for a, b, p in {(a, b, table[a][b]) for a in range(1, n) for b in range(a, n) if table[a][b]}:
+        bad |= NP[a] & NP[b] & P[p]
+    points = (frozenset(x + 1 for x in members(h)) for h in members(full ^ bad))
+    return sorted(points, key=canonical_key)
+
+
+def test_primes_bruteforce_matches_every_instance_scan():
+    """The scan that skips the complement-law instances which cannot fire
+    finds the primes of the scan that tests them all."""
+    base = [cyclic_monoid(i, p) for i in range(16) for p in range(1, 17 - i)]
+    base += [chain_semilattice(n).monoid for n in range(1, 18)]
+    base += [free_semilattice(k).monoid for k in range(5)]
+    products = [direct_product(M, N) for M, N in combinations_with_replacement(base, 2)
+                if M.size * N.size <= 16]
+    corpus = [M for s in range(3) for M in corpus_monoids(s, 150, 10)]
+    for M in base + products + corpus:
+        assert list(primes_bruteforce(M, cap=17).points) == _every_instance_scan(M.table), M.table
+    # 24 elements: a prime of a product is the union of a proper upset of
+    # each chain, pair (i, j) at i * 6 + j
+    M = direct_product(chain_semilattice(4).monoid, chain_semilattice(6).monoid)
+    expected = {frozenset(i * 6 + j for i in range(4) for j in range(6) if i >= k or j >= l)
+                for k in range(1, 5) for l in range(1, 7)}
+    points = primes_bruteforce(M, cap=24).points
+    assert len(points) == 24 and set(points) == expected
 
 
 def _union_oracle(points):
@@ -250,6 +293,14 @@ def test_bruteforce_cap():
     assert len(primes_bruteforce(chain_semilattice(20).monoid, cap=20).points) == 20
     with pytest.raises(CapExceeded, match="size 33 exceeds the cap of 32"):
         primes_bruteforce(chain_semilattice(33).monoid, cap=100)
+
+
+def test_faulty_scan_stops_before_building_its_subsets(monkeypatch):
+    """A scan that keeps more subsets than the table has elements raises at
+    once: with empty lanes no law fires and all 2^19 subsets survive."""
+    monkeypatch.setattr(spectrum, "lanes", lambda k: [0] * k)
+    with pytest.raises(IntegrityError, match="kept 524288 subsets of 20 elements"):
+        primes_bruteforce(chain_semilattice(20).monoid, cap=20)
 
 
 def test_homs_to_I_counts():
