@@ -2,8 +2,9 @@
 
 Elements are integer indices into the table; the identity is always index 0
 (`validate_monoid` relabels on construction when necessary).  Element sets are
-plain frozensets of indices with a canonical sorted rendering.  The subset
-scans build their bit-sliced layout with `lanes` and read it with `members`.
+plain frozensets of indices with a canonical sorted rendering.  The brute
+force and subsemilattice scans build their bit-sliced layout with `lanes` and
+read it with `members`; `closed_sets` lists the sets a closure fixes instead.
 `memoized` functions share their results inside one `memo_scope` (a `verify`
 run), keyed by the values of their positional arguments, and compute afresh
 everywhere else; a kernel whose result depends on the multiplication alone
@@ -56,6 +57,31 @@ def members(mask: int):
         h = mask.bit_length() - 1
         mask ^= 1 << h
         yield h
+
+
+def closed_sets(k: int, close):
+    """The masks of range(k) that close fixes, in increasing order, lazily.
+
+    close is a closure on masks: extensive, monotone and idempotent.
+    NextClosure (Ganter & Wille, 1999) finds each set after the last in at
+    most k calls, so the work follows the sets listed, not 2^k; a caller
+    caps the listing by taking no more sets than it allows.
+    """
+    last = close(0)
+    while True:
+        yield last
+        # the next set: for the lowest g not in last whose closure of last's
+        # bits above g, plus g, adds no bit above g, that closure
+        for g in range(k):
+            bit = 1 << g
+            if not last & bit:
+                high = last & -(bit << 1)
+                c = close(high | bit)
+                if c & -(bit << 1) == high:
+                    last = c
+                    break
+        else:
+            return
 
 
 class _Memo(threading.local):

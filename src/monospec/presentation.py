@@ -6,17 +6,18 @@ only its reflection, the quotient of the free semilattice on the generators by
 the supports of the relations, which is always finite.  That quotient is the
 lattice of generator sets closed under the rules supp(u) <= X => supp(v) <= X
 and back, so `sl_of_presentation` lists those closed sets, as bitmasks, with
-Ganter's NextClosure and names each element by its closed set; neither the
-free semilattice nor its 2^k generator sets are built for it.
+`core.closed_sets` and names each element by its closed set; neither the
+free semilattice nor its 2^k generator sets are built for it.  The free
+semilattice itself is the reflection of a presentation with no relations.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import combinations
+from itertools import islice
 from typing import NamedTuple
 
-from .core import SUBSET_CAP, FiniteMonoid, enforce_cap, memoized
+from .core import SUBSET_CAP, FiniteMonoid, closed_sets, enforce_cap, memoized
 from .errors import IntegrityError, ParseError
 from .semilattice import JoinSemilattice, from_monoid
 
@@ -115,14 +116,6 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(tuple(gen_names), tuple(relations))
 
 
-def subsets_in_order(k: int) -> list[tuple[int, ...]]:
-    """All subsets of range(k), by cardinality then lexicographic."""
-    out = []
-    for size in range(k + 1):
-        out.extend(combinations(range(k), size))
-    return out
-
-
 def _mask(subset) -> int:
     return sum(1 << i for i in subset)
 
@@ -131,23 +124,15 @@ def _subset_name(names, subset) -> str:
     return "{" + ",".join(names[i] for i in subset) + "}"
 
 
-@memoized
 def free_semilattice(k: int) -> JoinSemilattice:
     """Subsets of the k generators g1, ..., gk under union; identity is the empty set.
 
-    Up to 7 generators: CapExceeded when its 2^k elements exceed 128, before
-    the 4^k table (2^14 cells at k = 7) is built.
+    The reflection of the presentation on g1, ..., gk with no relations, so
+    its elements come by size, then lexicographically.  Up to 7 generators:
+    CapExceeded when its 2^k elements exceed 128, before any set is listed.
     """
     enforce_cap("size", 1 << k, 1 << 7)
-    names = tuple(f"g{i + 1}" for i in range(k))
-    subsets = subsets_in_order(k)
-    masks = [_mask(s) for s in subsets]
-    index = [0] * (1 << k)
-    for i, m in enumerate(masks):
-        index[m] = i
-    table = tuple(tuple(index[a | b] for b in masks) for a in masks)
-    elem_names = tuple(_subset_name(names, s) for s in subsets)
-    return from_monoid(FiniteMonoid(table, elem_names))
+    return sl_of_presentation(Presentation(tuple(f"g{i + 1}" for i in range(k)), ()), 1 << k)[0]
 
 
 def support(word) -> tuple[int, ...]:
@@ -175,8 +160,8 @@ def sl_of_presentation(P: Presentation,
     supp(u) <= X => supp(v) <= X and back, one pair per relation u = v
     (x^a with a >= 1 has the support {x}); the join of two is the closure of
     their union.  This is the quotient of the free semilattice by the
-    relations' supports, without its 2^k elements or 4^k table.  NextClosure
-    (Ganter & Wille, 1999) lists the closed sets as masks in increasing order,
+    relations' supports, without its 2^k elements or 4^k table.
+    `core.closed_sets` lists the closed sets as masks in increasing order,
     at most k closure calls each, so the work grows with |L|, not 2^k.  Each
     class is named by its closed set, and the classes are ordered by size,
     then lexicographically; names are bracketed when |L| < 2^k.
@@ -194,21 +179,8 @@ def sl_of_presentation(P: Presentation,
             rules.add((a, b))
         if a & ~b:
             rules.add((b, a))
-    # the next closed set: for the lowest g not in the last one whose closure
-    # of the last one's bits above g, plus g, adds no bit above g, that closure
-    closed = [_horn_closure(0, rules)]
-    while len(closed) <= cap:
-        last = closed[-1]
-        for g in range(k):
-            bit = 1 << g
-            if not last & bit:
-                high = last & -(bit << 1)
-                c = _horn_closure(high | bit, rules)
-                if c & -(bit << 1) == high:
-                    closed.append(c)
-                    break
-        else:
-            break
+    # one set past the cap, and the least set whatever the cap, as --cap may be negative
+    closed = list(islice(closed_sets(k, lambda x: _horn_closure(x, rules)), max(cap, 0) + 1))
     enforce_cap("reflection size", len(closed), cap)
 
     def name(x: int) -> str:

@@ -7,15 +7,15 @@ So a bijection is a homeomorphism exactly when it carries each N(x) onto
 N(image of x), and a map of two variables is continuous for the product
 topology exactly when it sends N(p) x N(q) into N of the image of (p, q).
 The checks hold each N(x) as one bitmask of points, never an open family.
-The `topology` command prints the ideal opens in full, kept in the canonical
-order: by cardinality, then lexicographic membership.
+The `topology` command prints the ideal opens, which `core.closed_sets`
+lists, in the canonical order: by cardinality, then lexicographic membership.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import SUBSET_CAP, FiniteMonoid, enforce_cap, lanes, members
+from .core import SUBSET_CAP, FiniteMonoid, closed_sets, enforce_cap, members
 from .semilattice import JoinSemilattice
 from .spectrum import Spectrum, canonical_key
 
@@ -69,22 +69,21 @@ def union_continuous(S: Spectrum, N) -> bool:
 def ideal_opens(L: JoinSemilattice, cap: int = SUBSET_CAP) -> FiniteTopology:
     """Opens are the monoid ideals of L, i.e. the upward-closed subsets.
 
-    The scan runs over all subsets of L on the lanes of `lanes`: a subset
-    that holds x but not some y >= x is not upward closed, so
-    `P[x] & ~P[y]` over every such pair marks all of them at once, and the
-    unmarked subsets are the opens.
+    They are the sets that the closure X -> the union of the principal
+    upsets of X's members fixes, so `core.closed_sets` lists them, at most
+    n closures per open, and never looks at the other subsets of L.
     """
     n = L.size
-    # n lanes of 2^n bits take n * 2^(n-3) bytes: 16 GB at 32 elements
+    # every open is held at once: M_30, 32 elements, has 2^30 + 2 of them
     enforce_cap("size", n, min(cap, 32))
-    P = lanes(n)
-    bad = 0
-    for x in range(n):
-        for y in range(n):
-            if x != y and L.leq[x][y]:
-                bad |= P[x] & ~P[y]
-    survivors = ((1 << (1 << n)) - 1) ^ bad
-    opens = (frozenset(members(m)) for m in members(survivors))
+    up = [sum(1 << y for y in range(n) if L.leq[x][y]) for x in range(n)]
+
+    def close(X: int) -> int:
+        for x in members(X):
+            X |= up[x]
+        return X
+
+    opens = (frozenset(members(m)) for m in closed_sets(n, close))
     return FiniteTopology(n, tuple(sorted(opens, key=canonical_key)))
 
 

@@ -25,6 +25,21 @@ def patch_every_binding(monkeypatch, name, fn):
         monkeypatch.setattr(module, name, fn)
 
 
+def drop_last_closed_set(monkeypatch):
+    """Rebind `core.closed_sets`, wherever it is bound, to a copy that lists
+    every closed set but the last, as lazily as the original."""
+    valid = core.closed_sets
+
+    def dropped(k, close):
+        sets = valid(k, close)
+        last = next(sets)
+        for c in sets:
+            yield last
+            last = c
+
+    patch_every_binding(monkeypatch, "closed_sets", dropped)
+
+
 def count_kernel_runs(monkeypatch):
     """Rebind the hom search, the brute scan and the right adjoint to memoized
     copies that count their runs.

@@ -133,6 +133,15 @@ def test_brute_scan_at_24_elements(capsys):
     assert out.startswith("spec via brute: 24 primes\n") and out.endswith("routes agree: yes\n")
 
 
+def test_topology_at_32_elements(capsys):
+    """chain(32) at a raised cap: its 33 upsets, listed one by one, where a
+    scan over its 2^32 subsets would be out of reach."""
+    start = perf_counter()
+    assert main(["topology", "--cap", "32", str(SCALE / "chain32.mon")]) == 0
+    assert perf_counter() - start < 1
+    assert len(capsys.readouterr().out.splitlines()) == 33
+
+
 def test_reflection_commands_cap_presentations(files, capsys):
     # the free reflection on 10 generators has 1024 elements; sl, dot and
     # topology refuse it at the default cap instead of printing its table

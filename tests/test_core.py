@@ -211,6 +211,30 @@ def test_lanes_and_members_match_their_definitions():
             assert list(core.members(m)) == [h for h in reversed(range(k)) if (m >> h) & 1]
 
 
+def test_closed_sets_lists_the_fixed_masks_in_order():
+    for k in range(7):  # k = 0 gives the one empty set
+        assert list(core.closed_sets(k, lambda x: x)) == list(range(2 ** k))
+
+    # bit 0 pulls in bit 1, and bit 2 pulls in everything
+    def close(x):
+        x |= 2 if x & 1 else 0
+        return 7 if x & 4 else x
+    assert list(core.closed_sets(3, close)) == [m for m in range(8) if close(m) == m] == [0, 2, 3, 7]
+
+
+def test_closed_sets_is_lazy():
+    calls = []
+
+    def close(x):
+        calls.append(x)
+        return x
+
+    for k in range(5):
+        calls.clear()
+        next(core.closed_sets(k, close))
+        assert calls == [0]
+
+
 def test_render_set():
     M = z2()
     assert render_set(M, set()) == "{}"

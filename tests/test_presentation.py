@@ -1,11 +1,13 @@
 import random
 from collections import deque
 from functools import cache, reduce
+from itertools import combinations
 from operator import add
+from pathlib import Path
 
 import pytest
 
-from faults import patch_every_binding
+from faults import drop_last_closed_set, patch_every_binding
 
 from monospec import presentation, verify
 from monospec.cli import main
@@ -14,6 +16,7 @@ from monospec.core import (
     SUBSET_CAP,
     FiniteMonoid,
     MonoidMap,
+    enforce_cap,
     is_hom,
     is_idempotent,
     sierpinski,
@@ -26,11 +29,12 @@ from monospec.presentation import (
     free_semilattice,
     parse_presentation,
     sl_of_presentation,
-    subsets_in_order,
     support,
 )
 from monospec.semilattice import from_monoid, top
 from monospec.spectrum import generator_supports, route_primes
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def test_parse_natural_numbers():
@@ -90,6 +94,24 @@ def test_parse_empty_relation_between_separators():
         assert (info.value.line, info.value.column) == (2, column), rels
 
 
+def subsets_in_order(k: int) -> list[tuple[int, ...]]:
+    """All subsets of range(k), by cardinality then lexicographic."""
+    return [s for size in range(k + 1) for s in combinations(range(k), size)]
+
+
+def free_by_table(k: int) -> FiniteMonoid:
+    """The free semilattice on g1, ..., gk from its 4^k join table over
+    `subsets_in_order`, with no closure and no listing of closed sets; up
+    to 7 generators, as `free_semilattice` allows."""
+    enforce_cap("size", 1 << k, 1 << 7)
+    subsets = subsets_in_order(k)
+    masks = [sum(1 << i for i in s) for s in subsets]
+    index = {m: i for i, m in enumerate(masks)}
+    table = tuple(tuple(index[a | b] for b in masks) for a in masks)
+    names = tuple("{" + ",".join(f"g{i + 1}" for i in s) + "}" for s in subsets)
+    return FiniteMonoid(table, names)
+
+
 def test_free_semilattice_small():
     assert free_semilattice(1).monoid.table == sierpinski().table
     assert free_semilattice(0).size == 1
@@ -99,10 +121,13 @@ def test_free_semilattice_small():
         free_semilattice(20)
     for k in range(5):
         subsets = subsets_in_order(k)
-        table = free_semilattice(k).monoid.table
+        table = free_by_table(k).table
         for i, a in enumerate(subsets):
             for j, b in enumerate(subsets):
                 assert table[i][j] == subsets.index(tuple(sorted(set(a) | set(b))))
+    # the wrapper over the reflection gives the 4^k table and its names
+    for k in range(8):
+        assert free_semilattice(k).monoid == free_by_table(k), k
 
 
 def free_quotient(P):
@@ -110,15 +135,15 @@ def free_quotient(P):
 
     The quotient of the free semilattice on the generators by the congruence
     closure of the relations' supports: O(4^k), independent of the closed
-    sets `sl_of_presentation` lists.  Up to 7 generators, as
-    `free_semilattice` allows.
+    sets `sl_of_presentation` lists, since `free_by_table` lists none.  Up
+    to 7 generators.
     """
     k = len(P.generators)
-    F = free_semilattice(k)
+    F = free_by_table(k)
     index = {s: i for i, s in enumerate(subsets_in_order(k))}
-    C = congruence_closure(F.monoid, [(index[support(u)], index[support(v)])
-                                      for u, v in P.relations])
-    Q, q = quotient(F.monoid, C)
+    C = congruence_closure(F, [(index[support(u)], index[support(v)])
+                               for u, v in P.relations])
+    Q, q = quotient(F, C)
     return Q, tuple(q.images[index[(i,)]] for i in range(k))
 
 
@@ -549,3 +574,13 @@ def test_one_pass_horn_closure_is_an_integrity_failure(monkeypatch, tmp_path, ca
     err = capsys.readouterr().err
     assert err == ("integrity failure: listed generator set {g1,g2,g3,g4} is not closed "
                    "under the rule {g1,g4} => {g0}\n")
+
+
+def test_closed_sets_dropping_its_last_set_is_an_integrity_failure(monkeypatch, capsys):
+    """A listing that loses its last closed set, the full generator set of
+    `data/abc.pres`, leaves the closure of {a,b} out of the listed sets,
+    which the join check catches: the CLI blames the code (exit 2)."""
+    drop_last_closed_set(monkeypatch)
+    assert main(["spec", "--via", "all", str(DATA / "abc.pres")]) == 2
+    assert capsys.readouterr().err == ("integrity failure: the closure {a,b,c} of {a,b} "
+                                       "is not a listed set\n")

@@ -1,10 +1,12 @@
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from faults import patch_every_binding
+from faults import drop_last_closed_set, patch_every_binding
 from monospec import verify
-from monospec.core import members, monoid_homs, sierpinski, validate_monoid
+from monospec.cli import main
+from monospec.core import members, monoid_homs, parse_monoid_table, sierpinski, validate_monoid
 from monospec.corpus import chain_semilattice, corpus_monoids, corpus_semilattices
 from monospec.errors import CapExceeded, ValidationError
 from monospec.presentation import free_semilattice
@@ -21,6 +23,8 @@ from monospec.topology import (
     union_continuous,
 )
 from monospec.verify import alpha_holds, theta_holds
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def topology(size: int, opens) -> FiniteTopology:
@@ -120,9 +124,23 @@ def test_ideal_opens_matches_definition():
         expected = tuple(sorted(_upsets(L), key=canonical_key))
         assert ideal_opens(L).opens == expected
     assert len(ideal_opens(free_semilattice(4)).opens) == 168
-    assert len(ideal_opens(chain_semilattice(16)).opens) == 17  # 65536-bit lanes
+    assert len(ideal_opens(chain_semilattice(16)).opens) == 17
     with pytest.raises(CapExceeded, match="size 33 exceeds the cap of 32"):
         ideal_opens(chain_semilattice(33), cap=100)
+
+
+def test_closed_sets_dropping_its_last_set_fails_the_upsets_oracle(monkeypatch, capsys):
+    """A listing that loses its last closed set loses the full set of L from
+    its ideal opens.  No runtime check sees it: `topology data/free3.mon`
+    exits 0 with 19 opens, so `_upsets` (and the golden) must."""
+    L = from_monoid(parse_monoid_table((DATA / "free3.mon").read_text()))
+    expected = tuple(sorted(_upsets(L), key=canonical_key))
+    assert ideal_opens(L).opens == expected and len(expected) == 20
+    drop_last_closed_set(monkeypatch)
+    assert ideal_opens(L).opens == expected[:-1] != expected
+    assert main(["topology", str(DATA / "free3.mon")]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 19 and "{e, a, b, c, ab, ac, bc, abc}" not in out
 
 
 def test_ideal_opens_are_unions_of_principal_upsets():
