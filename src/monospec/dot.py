@@ -14,9 +14,9 @@ def cover_pairs(L: JoinSemilattice) -> list[tuple[int, int]]:
     covers = []
     for a in L.elements():
         for b in L.elements():
-            if a == b or not L.leq[a][b]:
+            if a == b or not L.le(a, b):
                 continue
-            if any(c != a and c != b and L.leq[a][c] and L.leq[c][b] for c in L.elements()):
+            if any(c != a and c != b and L.le(a, c) and L.le(c, b) for c in L.elements()):
                 continue
             covers.append((a, b))
     return covers

@@ -1,8 +1,9 @@
 """Join semilattices: derived order, meets, adjoints, and the finite duality.
 
-A join semilattice here is an idempotent commutative monoid together with the
-order x <= y iff x*y = y; the monoid identity is the least element and x*y is
-the least upper bound.  By finiteness every such semilattice is a lattice.
+A join semilattice here is an idempotent commutative monoid, and its table is
+its order too: x <= y iff x*y = y, read off the table and stored nowhere else.
+The identity is the least element, x*y the least upper bound, and by
+finiteness every such semilattice is a lattice.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .errors import IntegrityError, ValidationError
 
 class JoinSemilattice(NamedTuple):
     monoid: FiniteMonoid
-    leq: tuple[tuple[bool, ...], ...]
 
     @property
     def size(self) -> int:
@@ -27,7 +27,7 @@ class JoinSemilattice(NamedTuple):
         return self.monoid.names
 
     def le(self, a: int, b: int) -> bool:
-        return self.leq[a][b]
+        return self.monoid.table[a][b] == b
 
     def join(self, a: int, b: int) -> int:
         return self.monoid.table[a][b]
@@ -45,14 +45,12 @@ class MonotoneMap(NamedTuple):
 
 
 def from_monoid(M: FiniteMonoid) -> JoinSemilattice:
-    """Wrap an idempotent monoid with its derived partial order."""
+    """Wrap an idempotent monoid; its order is read off the table, so no matrix is built."""
     if not is_idempotent(M):
         bad = next(i for i in M.elements() if M.table[i][i] != i)
-        raise ValidationError(f"not idempotent: element {bad} has {bad}*{bad} = {M.table[bad][bad]}")
-    table = M.table
-    leq = tuple(tuple(table[x][y] == y for y in M.elements()) for x in M.elements())
-    # reflexivity, antisymmetry and transitivity follow from the monoid laws
-    return JoinSemilattice(M, leq)
+        b = M.names[bad]
+        raise ValidationError(f"not idempotent: element {b} has {b}*{b} = {M.names[M.table[bad][bad]]}")
+    return JoinSemilattice(M)
 
 
 def top(L: JoinSemilattice) -> int:
@@ -69,7 +67,8 @@ def meet_table(L: JoinSemilattice) -> tuple[tuple[int, ...], ...]:
     each meet is a lookup instead of an O(n) scan for the top of the common
     lower bounds.
     """
-    down = [sum(1 << x for x, row in enumerate(L.leq) if row[a]) for a in range(L.size)]
+    t = L.monoid.table  # read inline, as in spectrum.alpha: L.le calls cost `limits` 9 %
+    down = [sum(1 << x for x, row in enumerate(t) if row[a] == a) for a in range(L.size)]
     element = {d: a for a, d in enumerate(down)}
     try:
         return tuple(tuple([element[da & db] for db in down]) for da in down)
@@ -86,8 +85,9 @@ def monotone_map(source: JoinSemilattice, target: JoinSemilattice, images) -> Mo
             raise ValidationError(f"image {v} out of range")
     for x in source.elements():
         for y in source.elements():
-            if source.leq[x][y] and not target.leq[images[x]][images[y]]:
-                raise ValidationError(f"not monotone: {x} <= {y} but images {images[x]} !<= {images[y]}")
+            if source.le(x, y) and not target.le(images[x], images[y]):
+                s, t = source.names, [target.names[v] for v in images]
+                raise ValidationError(f"not monotone: {s[x]} <= {s[y]} but images {t[x]} !<= {t[y]}")
     return MonotoneMap(source, target, images)
 
 
@@ -127,8 +127,8 @@ def right_adjoint(f: MonotoneMap) -> MonotoneMap:
     """
     if not is_join_morphism(f):
         raise ValidationError("map does not preserve joins and the least element")
-    leq = f.target.leq
-    return _adjoint(f, lambda fx, y: leq[fx][y], f.source.join)
+    t = f.target.monoid.table  # read inline, as in spectrum.alpha: L.le calls cost `limits` 9 %
+    return _adjoint(f, lambda fx, y: t[fx][y] == y, f.source.join)
 
 
 def left_adjoint(g: MonotoneMap) -> MonotoneMap:
@@ -139,8 +139,8 @@ def left_adjoint(g: MonotoneMap) -> MonotoneMap:
     """
     if not is_meet_morphism(g):
         raise ValidationError("map does not preserve meets and the top")
-    leq, meets = g.target.leq, meet_table(g.source)
-    return _adjoint(g, lambda gx, y: leq[y][gx], lambda a, b: meets[a][b])
+    t, meets = g.target.monoid.table, meet_table(g.source)  # order read inline, as in right_adjoint
+    return _adjoint(g, lambda gx, y: t[y][gx] == gx, lambda a, b: meets[a][b])
 
 
 def check_adjunction(f: MonotoneMap, g: MonotoneMap) -> bool:
@@ -152,7 +152,7 @@ def check_adjunction(f: MonotoneMap, g: MonotoneMap) -> bool:
         raise ValidationError("adjunction endpoints do not match")
     X, Y = f.source, f.target
     return all(
-        Y.leq[f.images[x]][y] == X.leq[x][g.images[y]]
+        Y.le(f.images[x], y) == X.le(x, g.images[y])
         for x in X.elements()
         for y in Y.elements()
     )

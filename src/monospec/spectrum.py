@@ -144,8 +144,8 @@ def theta_inverse(M: FiniteMonoid, members) -> MonoidMap:
 
 def alpha(L: JoinSemilattice, a: int) -> frozenset[int]:
     """The prime complementary to the downset of a."""
-    leq = L.leq
-    return frozenset(x for x in L.elements() if not leq[x][a])
+    t = L.monoid.table  # read inline: L.le calls here and in limits cost `limits` 9 % of wall_s
+    return frozenset(x for x, row in enumerate(t) if row[a] != a)
 
 
 def beta(L: JoinSemilattice, members) -> int:

@@ -76,7 +76,7 @@ def ideal_opens(L: JoinSemilattice, cap: int = SUBSET_CAP) -> FiniteTopology:
     n = L.size
     # every open is held at once: M_30, 32 elements, has 2^30 + 2 of them
     enforce_cap("size", n, min(cap, 32))
-    up = [sum(1 << y for y in range(n) if L.leq[x][y]) for x in range(n)]
+    up = [sum(1 << y for y in range(n) if L.le(x, y)) for x in range(n)]
 
     def close(X: int) -> int:
         for x in members(X):

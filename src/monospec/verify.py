@@ -207,7 +207,7 @@ def alpha_holds(L: JoinSemilattice) -> bool:
     ok = len(set(points)) == L.size and sorted(points, key=canonical_key) == list(spec.points)
     if ok:  # then alpha is a bijection onto the points
         index = {p: i for i, p in enumerate(spec.points)}
-        upsets = [sum(1 << b for b in L.elements() if L.leq[a][b]) for a in L.elements()]
+        upsets = [sum(1 << b for b in L.elements() if L.le(a, b)) for a in L.elements()]
         ok = carries([index[p] for p in points], upsets,
                      least_opens(L.size, basic_opens(L.monoid, spec)))
     meets = meet_table(L)
@@ -218,7 +218,7 @@ def alpha_holds(L: JoinSemilattice) -> bool:
             if points[meets[a][b]] != points[a] | points[b]:
                 ok = False
             # a <= b exactly when the downset of a lies in that of b: alpha(a) >= alpha(b)
-            if L.leq[a][b] != (points[a] >= points[b]):
+            if L.le(a, b) != (points[a] >= points[b]):
                 ok = False
     return ok
 

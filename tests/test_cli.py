@@ -195,11 +195,11 @@ _TABLE_AB = "elements: a b\nidentity: a\ntable:\n"
      "unknown target element 'z'"),
     (["adjoint", "chain2.mon", "chain3.mon", "--images", "a"], None, "1 images for 2 elements"),
     (["adjoint", "chain2.mon", "chain3.mon", "--images", "b", "a"], None,
-     "not monotone: 0 <= 1 but images 1 !<= 0"),
+     "not monotone: p <= q but images b !<= a"),
     (["adjoint", "chain2.mon", "chain3.mon", "--images", "a", "b", "--left"], None,
      "map does not preserve meets and the top"),
     (["adjoint", "z2.mon", "chain3.mon", "--images", "a", "b"], None,
-     "not idempotent: element 1 has 1*1 = 0"),
+     "not idempotent: element g has g*g = 1"),
 ])
 def test_input_errors_exit_1_with_their_message(files, argv, text, message, capsys):
     """Each reachable input error prints `error: ` and its message, with the
@@ -312,6 +312,20 @@ def test_golden_output(name, command, capsys):
     """stdout equals the text in tests/golden; every golden case exits 0."""
     assert main(GOLDEN_COMMANDS[command] + [str(DATA / name)]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.{command}.out").read_text()
+
+
+ADJOINT_ARGV = ["adjoint", str(DATA / "free3.mon"), str(DATA / "i.mon"),
+                "--images", "1", "0", "1", "1", "0", "0", "1", "0"]
+
+
+@pytest.mark.parametrize("flags, golden", [([], "adjoint-free3-i-right.out"),
+                                            (["--left"], "adjoint-free3-i-left.out")])
+def test_adjoint_golden_output(flags, golden, capsys):
+    """Both adjoints of the map free(3) -> {1, 0} that sends the sets holding
+    a to 0 equal the text in tests/golden: the right one reads the order as
+    f(x) <= y, the left one as y <= g(x)."""
+    assert main(ADJOINT_ARGV + flags) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
 def _newly_loaded(argv=None, statement="import monospec.cli") -> set[str]:

@@ -243,7 +243,7 @@ def test_sl_of_presentation_equals_free_quotient():
         closed = [_closed_set(L, gens, x) for x in L.elements()]
         QL = from_monoid(Q)
         iso = [reduce(QL.join, (ref_gens[g] for g in range(k) if c >> g & 1), 0) for c in closed]
-        assert all(L.leq[x][y] == QL.leq[iso[x]][iso[y]]
+        assert all(L.le(x, y) == QL.le(iso[x], iso[y])
                    for x in L.elements() for y in L.elements()), P
         assert closed == sorted(closed, key=lambda c: (c.bit_count(), _members(c))), P
         names = tuple(_render(P, c) for c in closed)

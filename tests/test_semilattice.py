@@ -2,9 +2,9 @@ import pytest
 
 from monospec import verify
 
-from monospec.core import sierpinski, validate_monoid
+from monospec.core import FiniteMonoid, sierpinski, validate_monoid
 from monospec.corpus import chain_semilattice, corpus_join_morphisms, corpus_semilattices
-from monospec.dot import hasse_dot
+from monospec.dot import cover_pairs, hasse_dot
 from monospec.errors import IntegrityError, ValidationError
 from monospec.presentation import free_semilattice
 from monospec.semilattice import (
@@ -30,7 +30,7 @@ def meet(L: JoinSemilattice, a: int, b: int) -> int:
     """
     m = 0
     for x in L.elements():
-        if L.leq[x][a] and L.leq[x][b]:
+        if L.le(x, a) and L.le(x, b):
             m = L.join(m, x)
     return m
 
@@ -172,11 +172,16 @@ def test_meet_table_matches_meet():
 
 
 def test_meet_table_rejects_a_non_lattice():
-    # 1 and 2 both lie below 3 and 4, so 3 and 4 have no greatest lower bound
-    below = {(1, 3), (1, 4), (2, 3), (2, 4)}
-    leq = tuple(tuple(x == y or x == 0 or (x, y) in below for y in range(5)) for x in range(5))
+    # a table that skips validate_monoid: 0 lies below all, 1 and 2 below 3
+    # and 4, 1*2 = 3 and 3*4 = 0, so the common lower bounds {0, 1, 2} of 3
+    # and 4 are no downset and 3 and 4 have no greatest lower bound
+    product = {(1, 2): 3, (1, 3): 3, (1, 4): 4, (2, 3): 3, (2, 4): 4, (3, 4): 0}
+    table = tuple(tuple(x | y if 0 in (x, y) or x == y else product[min(x, y), max(x, y)]
+                        for y in range(5)) for x in range(5))
+    L = JoinSemilattice(FiniteMonoid(table, tuple("01234")))
+    assert [y for y in L.elements() if L.le(1, y) and L.le(2, y)] == [3, 4]
     with pytest.raises(IntegrityError, match="not a lattice"):
-        meet_table(JoinSemilattice(chain_semilattice(5).monoid, leq))
+        meet_table(L)
 
 
 def test_absorption_order():
@@ -193,3 +198,17 @@ def test_hasse_dot_deterministic():
     assert out == hasse_dot(F)
     assert out.count("->") == 4  # the diamond
     assert 'label="{}"' in out
+
+
+def test_cover_pairs_match_the_definition():
+    """(a, b) is a cover when a < b and the interval from a to b, the down-mask
+    of b meeting the up-mask of a, holds only a and b; both masks come from
+    the table, x <= y iff x*y = y."""
+    lattices = [L for s in range(3) for L in corpus_semilattices(s, 40, 10)]
+    for L in lattices + [free_semilattice(4)]:
+        t, n = L.monoid.table, L.size
+        down = [sum(1 << x for x in range(n) if t[x][b] == b) for b in range(n)]
+        up = [sum(1 << y for y in range(n) if t[a][y] == y) for a in range(n)]
+        expected = [(a, b) for a in range(n) for b in range(n)
+                    if a != b and t[a][b] == b and down[b] & up[a] == 1 << a | 1 << b]
+        assert sorted(cover_pairs(L)) == expected, t

@@ -111,7 +111,7 @@ def test_ideal_opens():
 
 def _upsets(L):
     """Every subset S with y in S whenever x in S and x <= y, on frozensets."""
-    above = [[y for y in L.elements() if L.leq[x][y]] for x in L.elements()]
+    above = [[y for y in L.elements() if L.le(x, y)] for x in L.elements()]
     subsets = (frozenset(S) for k in range(L.size + 1)
                for S in combinations(L.elements(), k))
     return [S for S in subsets if all(y in S for x in S for y in above[x])]
@@ -150,7 +150,7 @@ def test_ideal_opens_are_unions_of_principal_upsets():
     for L in lattices + [free_semilattice(4)]:
         unions = {0}
         for x in L.elements():
-            up = sum(1 << y for y in L.elements() if L.leq[x][y])
+            up = sum(1 << y for y in L.elements() if L.le(x, y))
             unions |= {up | u for u in unions}
         assert set(_masks(ideal_opens(L).opens)) == unions
 
@@ -243,7 +243,7 @@ def test_least_neighbourhood_verdicts_match_open_families():
         D = [frozenset(i for i, p in enumerate(S.points) if a not in p) for a in L.elements()]
         T_ideal, T_spec = ideal_opens(L), topology(L.size, D)
         N_spec = least_opens(L.size, basic_opens(L.monoid, S))
-        upsets = [sum(1 << y for y in L.elements() if L.leq[x][y]) for x in L.elements()]
+        upsets = [sum(1 << y for y in L.elements() if L.le(x, y)) for x in L.elements()]
         index = {p: i for i, p in enumerate(S.points)}
         for b in _bijections(index[alpha(L, a)] for a in L.elements()):
             expected = homeomorphic_by_opens(b, T_ideal, T_spec)

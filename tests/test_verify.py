@@ -447,7 +447,7 @@ def _size(item):
     pytest.param("meet_table", _last_row_bottom, "alpha_holds",
                  "points[meets[a][b]] != points[a] | points[b]", "alpha_suite", id="alpha-meets"),
     pytest.param("alpha", _bottom_and_last_swapped, "alpha_holds",
-                 "L.leq[a][b] != (points[a] >= points[b])", "alpha_suite", id="alpha-order"),
+                 "L.le(a, b) != (points[a] >= points[b])", "alpha_suite", id="alpha-order"),
     pytest.param("right_adjoint", _last_image_shifted, "naturality_square",
                  "lhs != rhs", "naturality", id="naturality"),
     pytest.param("alpha", _second_read_as_bottom, "spec_spec_check",
