@@ -37,8 +37,15 @@ def lanes(k: int) -> list[int]:
     when m holds x: runs of 2^x zeros, then as many ones, built by doubling.
     An instance of a law is then one bitwise expression over the lanes of its
     elements, which tests every subset at once; `members` reads off the
-    subsets that survive.
+    subsets that survive.  Each width is built once per process and kept as a
+    tuple, k lanes of 2^k bits (60 KB at k = 15); every call returns a fresh
+    list of them, so no caller can change what the next one gets.
     """
+    return list(_lanes(k))
+
+
+@lru_cache(maxsize=None)
+def _lanes(k: int) -> tuple[int, ...]:
     width = 1 << k
     out = []
     for x in range(k):
@@ -48,7 +55,7 @@ def lanes(k: int) -> list[int]:
             lane |= lane << span
             span *= 2
         out.append(lane)
-    return out
+    return tuple(out)
 
 
 def members(mask: int):
@@ -174,7 +181,7 @@ def validate_monoid(table, identity=0, names=None) -> FiniteMonoid:
     """Check the monoid laws and return the table with identity relabeled to 0.
 
     Raises ValidationError naming the first violated law together with the
-    witnessing indices.
+    witnessing elements: by their names when names are given, else by index.
     """
     n = len(table)
     if n == 0:
@@ -187,16 +194,29 @@ def validate_monoid(table, identity=0, names=None) -> FiniteMonoid:
                 raise ValidationError(f"entry ({i},{j}) = {v} is out of range [0,{n})")
     if not 0 <= identity < n:
         raise ValidationError(f"identity index {identity} is out of range [0,{n})")
+    if names is not None:
+        if len(names) != n:
+            raise ValidationError(f"{len(names)} names for {n} elements")
+        first = {}
+        for i, nm in enumerate(names):
+            if nm in first:
+                raise ValidationError(f"duplicate name {nm!r} at indices {first[nm]} and {i}")
+            first[nm] = i
+        names = tuple(names)
+    # the law errors name elements by their names when given, else by index
+    label = names.__getitem__ if names is not None else str
     for i in range(n):
         if table[identity][i] != i:
             raise ValidationError(
-                f"broken identity: {identity}*{i} = {table[identity][i]}, expected {i}"
+                f"broken identity: {label(identity)}*{label(i)} = {label(table[identity][i])}, "
+                f"expected {label(i)}"
             )
     for i in range(n):
         for j in range(i + 1, n):
             if table[i][j] != table[j][i]:
                 raise ValidationError(
-                    f"not commutative at pair ({i},{j}): {table[i][j]} != {table[j][i]}"
+                    f"not commutative at pair ({label(i)},{label(j)}): "
+                    f"{label(table[i][j])} != {label(table[j][i])}"
                 )
     # Light's test: (x*g)*y = x*(g*y) for every g of a generating set G is
     # associativity.  Walking the elements in index order, each one not yet in
@@ -220,20 +240,12 @@ def validate_monoid(table, identity=0, names=None) -> FiniteMonoid:
         if block != cols:
             i = next(i for i in range(n) if block[i] != cols[i])
             k = next(k for k in range(n) if block[i][k] != cols[i][k])
+            x, g, y = label(i), label(j), label(k)
             raise ValidationError(
-                f"not associative at triple ({i},{j},{k}): "
-                f"({i}*{j})*{k} = {block[i][k]} but {i}*({j}*{k}) = {block[k][i]}"
+                f"not associative at triple ({x},{g},{y}): "
+                f"({x}*{g})*{y} = {label(block[i][k])} but {x}*({g}*{y}) = {label(block[k][i])}"
             )
-    if names is not None:
-        if len(names) != n:
-            raise ValidationError(f"{len(names)} names for {n} elements")
-        seen = {}
-        for i, nm in enumerate(names):
-            if nm in seen:
-                raise ValidationError(f"duplicate name {nm!r} at indices {seen[nm]} and {i}")
-            seen[nm] = i
-        names = tuple(names)
-    else:
+    if names is None:
         names = tuple(f"e{i}" for i in range(n))
 
     if identity != 0:

@@ -200,6 +200,9 @@ _TABLE_AB = "elements: a b\nidentity: a\ntable:\n"
      "map does not preserve meets and the top"),
     (["adjoint", "z2.mon", "chain3.mon", "--images", "a", "b"], None,
      "not idempotent: element g has g*g = 1"),
+    # a law error names the elements of the input
+    (["spec", "e.mon"], "elements: e x y\nidentity: e\ntable:\ne x y\nx x x\ny y y\n",
+     "not commutative at pair (x,y): x != y"),
 ])
 def test_input_errors_exit_1_with_their_message(files, argv, text, message, capsys):
     """Each reachable input error prints `error: ` and its message, with the

@@ -90,6 +90,23 @@ def test_validation_errors_only_the_api_reaches(table, identity, names, message)
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("table, names, message", [
+    ([[1, 1], [1, 1]], ["e", "x"], "broken identity: e*e = x, expected e"),
+    ([[0, 1, 2], [1, 1, 1], [2, 2, 2]], ["e", "x", "y"], "not commutative at pair (x,y): x != y"),
+    ([[0, 1, 2], [1, 0, 2], [2, 2, 1]], ["e", "x", "y"],
+     "not associative at triple (x,y,y): (x*y)*y = x but x*(y*y) = e"),
+    ([[0, 1, 2], [1, 0, 2], [2, 2, 1]], None,
+     "not associative at triple (1,2,2): (1*2)*2 = 1 but 1*(2*2) = 0"),
+    # the names are checked before the laws
+    ([[0, 1, 2], [1, 1, 1], [2, 2, 2]], ["e", "x"], "2 names for 3 elements"),
+    ([[0, 1, 2], [1, 1, 1], [2, 2, 2]], ["e", "x", "x"], "duplicate name 'x' at indices 1 and 2"),
+])
+def test_law_errors_name_the_elements(table, names, message):
+    with pytest.raises(ValidationError) as caught:
+        validate_monoid(table, names=names)
+    assert str(caught.value) == message
+
+
 def test_is_idempotent():
     assert is_idempotent(sierpinski())
     assert not is_idempotent(z2())
@@ -209,6 +226,17 @@ def test_lanes_and_members_match_their_definitions():
             assert list(core.members(lane)) == [m for m in reversed(range(1 << k)) if (m >> x) & 1]
         for m in range(1 << k):
             assert list(core.members(m)) == [h for h in reversed(range(k)) if (m >> h) & 1]
+
+
+def test_lanes_are_built_once_and_handed_out_as_copies():
+    """Each call returns a fresh list of one width's cached lanes, so a
+    caller that changes its list changes nothing the next caller gets."""
+    first = core.lanes(5)
+    expected = list(first)
+    assert core.lanes(5) == expected and core.lanes(5) is not first
+    first[0] = 0
+    first.append(7)
+    assert core.lanes(5) == expected
 
 
 def test_closed_sets_lists_the_fixed_masks_in_order():

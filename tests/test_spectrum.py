@@ -1,4 +1,5 @@
 import re
+import time
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
@@ -83,6 +84,20 @@ def test_primes_bruteforce_matches_definition():
     chain17 = primes_bruteforce(chain_semilattice(17).monoid, cap=17)
     assert len(chain17.points) == 17
     assert chain17.points == tuple(frozenset(range(k, 17)) for k in range(17, 0, -1))
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_windowed_scan_matches_definition(monkeypatch, width):
+    """With W low elements, a table of more than W + 1 elements is scanned in
+    windows over its high elements; the primes are still those of the
+    definition, and no lanes wider than W are asked for."""
+    monkeypatch.setattr(spectrum, "W", width)
+    widths = []
+    monkeypatch.setattr(spectrum, "lanes", lambda k: widths.append(k) or lanes(k))
+    for M in (M for s in range(3) for M in corpus_monoids(s, 150, 12) if M.size <= 12):
+        expected = sorted(_primes_by_definition(M), key=canonical_key)
+        assert list(primes_bruteforce(M).points) == expected, M.table
+    assert max(widths) == width
 
 
 def _every_instance_scan(table):
@@ -289,7 +304,8 @@ def test_brute_fault_fails_limits_checks(monkeypatch):
 def test_bruteforce_cap():
     with pytest.raises(CapExceeded, match="size 4 exceeds the cap of 3"):
         primes_bruteforce(free_semilattice(2).monoid, cap=3)
-    # a raised cap: 2.5 MB of lanes; past 32 elements they would take over 16 GB
+    # a raised cap: 15 lanes of 2^15 bits (60 KB) in windows over the 4 other
+    # elements; whatever the cap, the scan stops at 32 elements
     assert len(primes_bruteforce(chain_semilattice(20).monoid, cap=20).points) == 20
     with pytest.raises(CapExceeded, match="size 33 exceeds the cap of 32"):
         primes_bruteforce(chain_semilattice(33).monoid, cap=100)
@@ -297,10 +313,20 @@ def test_bruteforce_cap():
 
 def test_faulty_scan_stops_before_building_its_subsets(monkeypatch):
     """A scan that keeps more subsets than the table has elements raises at
-    once: with empty lanes no law fires and all 2^19 subsets survive."""
+    once: with empty lanes no law fires among the 15 low elements, and the
+    first window, every high element out, keeps all its 2^15 subsets."""
     monkeypatch.setattr(spectrum, "lanes", lambda k: [0] * k)
-    with pytest.raises(IntegrityError, match="kept 524288 subsets of 20 elements"):
+    with pytest.raises(IntegrityError, match="kept 32768 subsets of 20 elements"):
         primes_bruteforce(chain_semilattice(20).monoid, cap=20)
+
+
+@pytest.mark.parametrize("n", [24, 32])
+def test_faulty_scan_stops_in_its_first_window_at_scale(monkeypatch, n):
+    monkeypatch.setattr(spectrum, "lanes", lambda k: [0] * k)
+    start = time.perf_counter()
+    with pytest.raises(IntegrityError, match=f"kept 32768 subsets of {n} elements"):
+        primes_bruteforce(chain_semilattice(n).monoid, cap=32)
+    assert time.perf_counter() - start < 1
 
 
 def test_homs_to_I_counts():

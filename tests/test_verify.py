@@ -358,8 +358,7 @@ def test_subsemilattice_fault_fails_the_limits_suite(monkeypatch, capsys, broken
     assert ("FAIL", "colimit and profinite limits") in lines
 
 
-@pytest.fixture
-def lane_fault(monkeypatch):
+def _break_lanes(monkeypatch):
     """Every binding of `lanes` copies its next-to-last lane into the last one from k = 3."""
     valid = core.lanes
 
@@ -370,8 +369,22 @@ def lane_fault(monkeypatch):
     patch_every_binding(monkeypatch, "lanes", faulty)
 
 
+@pytest.fixture
+def lane_fault(monkeypatch):
+    _break_lanes(monkeypatch)
+
+
 def test_lane_fault_breaks_route_agreement(lane_fault):
     assert not all(map(verify.routes_agree, corpus_monoids(0, 150, 10)))
+
+
+def test_lane_fault_reaches_scans_after_the_lanes_are_cached(monkeypatch):
+    """Scans that ran first have cached every width they use; the fault,
+    which rebinds `lanes` itself, still reaches the scans after it."""
+    corpus = corpus_monoids(0, 150, 10)
+    assert all(map(verify.routes_agree, corpus))
+    _break_lanes(monkeypatch)
+    assert not all(map(verify.routes_agree, corpus))
 
 
 def test_lane_fault_fails_verify_through_the_cli(lane_fault, capsys):
