@@ -396,7 +396,7 @@ def parse_monoid_table(text: str) -> FiniteMonoid:
     """Parse the line-oriented table format.
 
     Layout: `elements: n1 n2 ...`, `identity: ni`, `table:` followed by one
-    row of names per element.  `#` starts a comment line.
+    row of names per element.  `#` starts a comment line, so no name may.
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -423,6 +423,8 @@ def parse_monoid_table(text: str) -> FiniteMonoid:
     for nm in names:
         if nm in index:
             raise ParseError(f"duplicate element name {nm!r}", line=lines[0][0])
+        if nm.startswith("#"):  # a table row starting with it would read as a comment
+            raise ParseError(f"element name {nm!r} starts with '#'", line=lines[0][0])
         index[nm] = len(index)
 
     id_line, id_name = expect(1, "identity:")

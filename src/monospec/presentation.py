@@ -131,6 +131,8 @@ def free_semilattice(k: int) -> JoinSemilattice:
     its elements come by size, then lexicographically.  Up to 7 generators:
     CapExceeded when its 2^k elements exceed 128, before any set is listed.
     """
+    if k < 0:
+        raise ValueError("need k >= 0")
     enforce_cap("size", 1 << k, 1 << 7)
     return sl_of_presentation(Presentation(tuple(f"g{i + 1}" for i in range(k)), ()), 1 << k)[0]
 

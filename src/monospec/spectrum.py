@@ -86,111 +86,90 @@ def primes_bruteforce(M: FiniteMonoid, cap: int = SUBSET_CAP) -> Spectrum:
     return Spectrum(M, *_brute_primes(M.table, cap))
 
 
-#: The brute scan's low elements: at most W non-identity elements take a lane
-#: of `lanes(W)` each, 2^W bits, and the others are fixed per window.
+#: The most elements a level of the brute scan puts on lanes, `lanes(W)`: W
+#: lanes of 2^W bits; it fixes the others per window, listed a level down.
 W = 15
 
 
 @memoized
 def _brute_primes(table, cap: int):
-    """Scan all subsets (identity excluded up front) for the prime laws; `_tabulate` them.
+    """The subsets `_scan` keeps of the non-identity elements, tabulated.
 
-    The subsets that break the ideal law (a in, some multiple of a out) or
-    the submonoid law on the complement (a and b out, a*b in) are ORed into
-    `bad`, and the rest are the primes.  The ideal law is one AND per element
-    a, against the OR of the complements of its multiples.  With D[a] naming
-    the ideal aM (equal ideals, equal names), the complement law is tested
-    only on pairs a <= b whose product p generates a smaller ideal than both:
-    if D[p] == D[a], then a lies in pM, so every subset that holds p and
-    passes the ideal law holds a too, and the instance cannot fire.  That
-    skips p in {a, b} and every pair that holds a unit.
-
-    The scan runs in windows.  The non-identity elements are ordered by how
-    often they occur as products, sinks first; the last W of them are low,
-    low element i on lane i of `lanes`, and the others are high.  A window
-    fixes every high element in or out, so its lanes are all ones or all
-    zeros and each law instance stays one lane expression over the subsets
-    of the low elements.  `_windows` lists the windows that break no instance
-    among the high elements alone.  Up to W + 1 elements there are no high
-    elements and one window.  The running count of kept subsets is checked
-    after each window, so a faulty scan stops before it builds any point.
+    Past W elements they are ordered by how often they occur as products,
+    sinks first, so the scan fixes the sinks per window and the instances
+    that hang on them prune the windows early: the null monoid's zero leaves
+    two.  D[a] names the ideal aM (equal ideals, equal names).
     """
     n = len(table)
-    # 2n lanes of at most 2^W bits take n * 2^(W - 2) bytes: 256 KB at 32 elements
+    # each level of the scan holds at most 2n lanes of 2^W bits, n * 2^(W - 2)
+    # bytes: 256 KB at 32 elements, where the last of three levels has 2 bits
     enforce_cap("size", n, min(cap, 32))
-    split = max(0, n - 1 - W)
-    if split:
+    order = list(range(1, n))
+    if n - 1 > W:
         hits = Counter(v for row in table for v in row)
-        order = sorted(range(1, n), key=lambda x: (-hits[x], x))
-    else:
-        order = range(1, n)
-    high, low = order[:split], order[split:]
+        order.sort(key=lambda x: (-hits[x], x))
     rows = [frozenset(row) for row in table]
     ideals = {}
     D = [ideals.setdefault(row, len(ideals)) for row in rows]
+    return _tabulate(_scan(table, rows, D, order, n))
+
+
+def _scan(table, rows, D, elements, limit=None):
+    """The subsets of elements that break neither prime law among elements
+    and the identity, lazily.
+
+    `bad` collects the subsets that break the ideal law (a in, a multiple of
+    a out), one AND per element a against the OR of the complements of its
+    multiples, or the submonoid law on the complement (a and b out, a*b in).
+    That law is tested only on pairs whose product p generates a smaller
+    ideal than both: if D[p] == D[a], a lies in pM, so a subset that holds p
+    and passes the ideal law holds a too.  That skips p in {a, b} and every
+    pair that holds a unit.
+
+    The last W elements are low, low element i on lane i of `lanes`; a window
+    fixes each other (high) element in or out, so each law instance stays one
+    lane expression over the subsets of the low elements.  The windows are
+    what this scan keeps of the high elements alone (one empty window up to
+    W elements): an inner scan sees only its own elements' multiples, and a
+    product outside them is on no lane.  At the top level the running count
+    of kept subsets is checked against `limit`, the table's size, after each
+    window and before any of its subsets is yielded.
+    """
+    if not elements:
+        yield []
+        return
+    high, low = elements[:-W], elements[-W:]
+    if limit is None:
+        known = {0, *elements}
+        rows = [row & known for row in rows]
     full = (1 << (1 << len(low))) - 1
-    P = [0] * n  # no subset holds the identity
+    P = [0] * len(table)  # no subset holds the identity
     for x, lane in zip(low, lanes(len(low))):
         P[x] = lane
-    kept, found = 0, []
-    for window in _windows(table, high) if high else (0,):
+    kept = 0
+    for window in _scan(table, rows, D, high):
         for x in high:
-            P[x] = full if window >> x & 1 else 0
+            P[x] = full if x in window else 0
         NP = [full ^ lane for lane in P]
         bad = 0
-        for a in range(1, n):
+        for a in elements:
             out = 0
             for v in rows[a]:  # a itself included: P[a] & NP[a] is empty
                 out |= NP[v]
             bad |= P[a] & out
-        for a in range(1, n):
-            for b in range(a, n):
+        for i, a in enumerate(elements):
+            for b in elements[i:]:
                 p = table[a][b]
                 if D[p] != D[a] and D[p] != D[b]:
-                    bad |= NP[a] & NP[b] & P[p]
-        # one prime per element of the reflection, so at most n: a faulty scan
-        # stops here, before it builds a point for any of up to 2^(n-1) subsets
+                    bad |= P[p] & NP[a] & NP[b]
+        # one prime per element of the reflection: a faulty scan stops here,
+        # before it yields any of up to 2^(n-1) subsets
         kept += (full ^ bad).bit_count()
-        if kept > n:
-            raise IntegrityError(f"the subset scan kept {kept} subsets of {n} elements, more than {n} primes")
-        found.append(([*members(window)], full ^ bad))
-    points = [frozenset([*fixed, *map(low.__getitem__, members(h))])
-              for fixed, survivors in found for h in members(survivors)]
-    return _tabulate(points)
-
-
-def _windows(table, high):
-    """The windows of the brute scan, each as the mask of the high elements it puts in.
-
-    The high elements are assigned depth first, out before in.  An instance
-    of either law among the high elements and the identity is tested as soon
-    as its last element is set, and an assignment that breaks one is dropped
-    with all its extensions: no subset in their windows is a prime.  Sinks
-    come first, so the instances that hang on them prune early; the null
-    monoid's zero, assigned first, leaves two windows.
-    """
-    rank = {x: i for i, x in enumerate(high)}
-    rank[0] = -1  # the identity, in no subset
-    # (need, forbid): the instance fires when the high elements in need are
-    # all in and those in forbid all out
-    tests = [[] for _ in high]
-    for a in high:
-        for v in set(table[a]):  # the ideal law: a in, its multiple v out
-            if v in rank:
-                tests[max(rank[a], rank[v])].append((1 << a, 1 << v))
-        for b in high:  # the complement law: a and b out, a*b in
-            p = table[a][b]
-            if p in rank:
-                tests[max(rank[a], rank[b], rank[p])].append((1 << p, 1 << a | 1 << b))
-    stack = [(0, 0)]
-    while stack:
-        i, window = stack.pop()
-        if i == len(high):
-            yield window
-            continue
-        for w in (window | 1 << high[i], window):  # popped out first
-            if all(w & need != need or w & forbid for need, forbid in tests[i]):
-                stack.append((i + 1, w))
+        if limit is not None and kept > limit:
+            raise IntegrityError(f"the subset scan kept {kept} subsets of {limit} elements, "
+                                 f"more than {limit} primes")
+        for h in members(full ^ bad):
+            yield [*window, *map(low.__getitem__, members(h))]
 
 
 def theta(f: MonoidMap) -> frozenset[int]:

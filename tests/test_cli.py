@@ -203,6 +203,11 @@ _TABLE_AB = "elements: a b\nidentity: a\ntable:\n"
     # a law error names the elements of the input
     (["spec", "e.mon"], "elements: e x y\nidentity: e\ntable:\ne x y\nx x x\ny y y\n",
      "not commutative at pair (x,y): x != y"),
+    # a row that starts with such a name would read as a comment
+    (["spec", "e.mon"], "elements: #x e\nidentity: e\ntable:\n#x #x\n#x e\n",
+     "line 1: element name '#x' starts with '#'"),
+    (["spec", "e.mon"], "elements: e #x\nidentity: e\ntable:\ne #x\n#x #x\n",
+     "line 1: element name '#x' starts with '#'"),
 ])
 def test_input_errors_exit_1_with_their_message(files, argv, text, message, capsys):
     """Each reachable input error prints `error: ` and its message, with the

@@ -119,6 +119,8 @@ def test_free_semilattice_small():
     assert F.size == 4 and is_idempotent(F.monoid)
     with pytest.raises(CapExceeded, match="size 1048576 exceeds the cap of 128"):
         free_semilattice(20)
+    with pytest.raises(ValueError, match=r"need k >= 0"):
+        free_semilattice(-1)
     for k in range(5):
         subsets = subsets_in_order(k)
         table = free_by_table(k).table

@@ -1,3 +1,4 @@
+import random
 import re
 import time
 from itertools import combinations, combinations_with_replacement
@@ -13,6 +14,7 @@ from monospec.core import (
     lanes,
     members,
     monoid_homs,
+    parse_monoid_table,
     sierpinski,
     validate_monoid,
 )
@@ -89,8 +91,9 @@ def test_primes_bruteforce_matches_definition():
 @pytest.mark.parametrize("width", [1, 3])
 def test_windowed_scan_matches_definition(monkeypatch, width):
     """With W low elements, a table of more than W + 1 elements is scanned in
-    windows over its high elements; the primes are still those of the
-    definition, and no lanes wider than W are asked for."""
+    windows over its high elements, which a scan of those lists, W elements a
+    level; the primes are still those of the definition, and no lanes wider
+    than W are asked for."""
     monkeypatch.setattr(spectrum, "W", width)
     widths = []
     monkeypatch.setattr(spectrum, "lanes", lambda k: widths.append(k) or lanes(k))
@@ -313,8 +316,9 @@ def test_bruteforce_cap():
 
 def test_faulty_scan_stops_before_building_its_subsets(monkeypatch):
     """A scan that keeps more subsets than the table has elements raises at
-    once: with empty lanes no law fires among the 15 low elements, and the
-    first window, every high element out, keeps all its 2^15 subsets."""
+    once: with empty lanes no law fires, so the scan of the high elements
+    keeps each subset of them and yields the largest first, and that first
+    window, every high element in, keeps all its 2^15 subsets."""
     monkeypatch.setattr(spectrum, "lanes", lambda k: [0] * k)
     with pytest.raises(IntegrityError, match="kept 32768 subsets of 20 elements"):
         primes_bruteforce(chain_semilattice(20).monoid, cap=20)
@@ -327,6 +331,41 @@ def test_faulty_scan_stops_in_its_first_window_at_scale(monkeypatch, n):
     with pytest.raises(IntegrityError, match=f"kept 32768 subsets of {n} elements"):
         primes_bruteforce(chain_semilattice(n).monoid, cap=32)
     assert time.perf_counter() - start < 1
+
+
+def _relabelled(M, seed):
+    """M with its non-identity elements permuted by a seeded shuffle."""
+    perm = [0, *random.Random(seed).sample(range(1, M.size), M.size - 1)]
+    table = [[0] * M.size for _ in M.table]
+    for a, row in enumerate(M.table):
+        for b, v in enumerate(row):
+            table[perm[a]][perm[b]] = perm[v]
+    return validate_monoid(table)
+
+
+def test_brute_scan_agrees_with_alpha_at_32_elements(monkeypatch):
+    """At 32 elements the scan takes its windows from a scan of its 16 high
+    elements, which takes its own from a scan of one: the primes are the alpha
+    route's, each run takes under a second, and no level asks for lanes wider
+    than W."""
+    def bounded(k):
+        if k > spectrum.W:
+            raise AssertionError(f"lanes of width {k} asked for")
+        return lanes(k)
+
+    monkeypatch.setattr(spectrum, "lanes", bounded)
+    scale = Path(__file__).resolve().parent / "scale"
+    free5, null32 = (parse_monoid_table((scale / name).read_text()) for name in ("free5.mon", "null32.mon"))
+    null_zero_last = validate_monoid([[b if a == 0 else a if b == 0 else 31 for b in range(32)]
+                                      for a in range(32)])
+    chains = direct_product(chain_semilattice(4).monoid, chain_semilattice(8).monoid)
+    cases = [(free5, 32), (null32, 2), (null_zero_last, 2), (chains, 32)]
+    cases += [(_relabelled(free5, seed), 32) for seed in range(3)]
+    for M, count in cases:
+        start = time.perf_counter()
+        points = primes_bruteforce(M, cap=32).points
+        assert time.perf_counter() - start < 1
+        assert len(points) == count and points == spec_monoid(M, cap=32).points
 
 
 def test_homs_to_I_counts():
